@@ -182,9 +182,10 @@ def _absolute_minsup(spec: int | float, input_count: int) -> int:
     return spec
 
 
-def _mining_config(args, db: SequenceDatabase, propagator: str) -> tuple[MiningConfig | None, int]:
-    """Translate flags into a config; (None, theta) means provably empty."""
-    theta = _absolute_minsup(args.minsup_value, db.input_sequences)
+def _mining_config(
+    args, db: SequenceDatabase, theta: int, propagator: str
+) -> MiningConfig | None:
+    """Translate flags into a config; None means provably empty."""
     min_size = args.min_size
     max_size = args.max_size
     if min_size is not None and min_size < 1:
@@ -198,7 +199,7 @@ def _mining_config(args, db: SequenceDatabase, propagator: str) -> tuple[MiningC
         lo = min_size or 1
         hi = db.max_len if max_size is None else min(max_size, db.max_len)
         if lo > db.max_len:
-            return None, theta  # no pattern can be that long here
+            return None  # no pattern can be that long here
         length = LengthBounds(lo, hi)
     cards: list[SymbolCardinality] = []
     for item in args.contains:
@@ -211,20 +212,19 @@ def _mining_config(args, db: SequenceDatabase, propagator: str) -> tuple[MiningC
             raise _UsageError(f"--contains count must be at least 1: {item!r}")
         symbol = db.id_of.get(token)
         if symbol is None:
-            return None, theta  # the required token is not frequent
+            return None  # the required token is not frequent
         cards.append(SymbolCardinality(symbol, at_least=at_least))
     for token in args.excludes:
         symbol = db.id_of.get(token)
         if symbol is not None:
             cards.append(SymbolCardinality(symbol, at_least=0, at_most=0))
-    config = MiningConfig(
+    return MiningConfig(
         min_sup=theta,
         propagator=propagator,
         length=length,
         cardinalities=tuple(cards),
         regex=args.regex,
     )
-    return config, theta
 
 
 def _open_output(stack: ExitStack, path: str | None) -> TextIO:
@@ -244,8 +244,7 @@ def _emit_stats(out: TextIO, stats: RunStats) -> None:
 
 def _run_mine(args) -> int:
     raw = _read_raw(args.data, args.format)
-    args.minsup_value = _parse_minsup(args.minsup)
-    theta = _absolute_minsup(args.minsup_value, len(raw))
+    theta = _absolute_minsup(_parse_minsup(args.minsup), len(raw))
     with ExitStack() as stack:
         out = _open_output(stack, args.output)
         try:
@@ -254,7 +253,7 @@ def _run_mine(args) -> int:
             if args.stats:
                 _emit_stats(out, RunStats())
             return EXIT_OK
-        config, _ = _mining_config(args, db, args.propagator)
+        config = _mining_config(args, db, theta, args.propagator)
         if config is None:
             if args.stats:
                 _emit_stats(out, RunStats())
@@ -298,24 +297,22 @@ def _run_bench(args) -> int:
         timed_out = False
         for spec in specs:
             theta = _absolute_minsup(spec, len(raw))
+            try:
+                db = build_database(raw, theta)
+            except EmptyDatabaseError:
+                db = None
             counts: set[int] = set()
             for name in chosen:
-                try:
-                    db = build_database(raw, theta)
-                except EmptyDatabaseError:
+                config = None if db is None else _mining_config(args, db, theta, name)
+                if config is None:
                     result = MiningResult()
                 else:
-                    args.minsup_value = spec
-                    config, _ = _mining_config(args, db, name)
-                    if config is None:
-                        result = MiningResult()
-                    else:
-                        deadline = time.monotonic() + args.timeout
-                        result = mine(
-                            db,
-                            config,
-                            node_hook=lambda: time.monotonic() <= deadline,
-                        )
+                    deadline = time.monotonic() + args.timeout
+                    result = mine(
+                        db,
+                        config,
+                        node_hook=lambda: time.monotonic() <= deadline,
+                    )
                 stats = result.stats
                 timed_out = timed_out or result.timed_out
                 counts.add(stats.solution_count)
@@ -359,16 +356,14 @@ def _run_gen(args) -> int:
 
 def _run_oracle(args) -> int:
     raw = _read_raw(args.data, args.format)
-    args.minsup_value = _parse_minsup(args.minsup)
-    theta = _absolute_minsup(args.minsup_value, len(raw))
+    theta = _absolute_minsup(_parse_minsup(args.minsup), len(raw))
     with ExitStack() as stack:
         out = _open_output(stack, args.output)
         try:
             db = build_database(raw, theta)
         except EmptyDatabaseError:
             return EXIT_OK
-        args.propagator = "ppic"
-        config, _ = _mining_config(args, db, "ppic")
+        config = _mining_config(args, db, theta, "ppic")
         if config is None:
             return EXIT_OK
         oracle_config = OracleConfig(

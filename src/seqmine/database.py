@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 __all__ = [
     "DatasetError",
@@ -60,8 +60,9 @@ class SequenceDatabase:
 
     ``seqs[sid]`` is the sequence with 1-based id `sid` (index 0 holds an
     empty placeholder).  ``names[a]`` is the original token for symbol id
-    `a`.  ``input_sequences`` is the sequence count before filtering; it is
-    kept for reporting only and does not take part in equality.
+    `a`.  ``input_sequences`` is the sequence count before filtering and
+    ``dropped`` holds the input tokens that filtering removed; neither takes
+    part in equality.
     """
 
     seqs: tuple[tuple[int, ...], ...]
@@ -72,6 +73,7 @@ class SequenceDatabase:
     symbol_supports: tuple[int, ...]
     input_sequences: int = field(compare=False, default=0)
     id_of: dict = field(compare=False, repr=False, default_factory=dict)
+    dropped: frozenset = field(compare=False, repr=False, default=frozenset())
 
     @property
     def size(self) -> int:
@@ -95,6 +97,16 @@ class SequenceDatabase:
             if all(a in it for a in pattern):
                 count += 1
         return count
+
+    def literal_ids(self) -> dict[str, int]:
+        """Symbol id of every input token, 0 for the filtered-out ones.
+
+        Expression literals resolve through this map: 0 is never a pattern
+        symbol, so a literal naming an infrequent token matches nothing.
+        """
+        ids = dict.fromkeys(self.dropped, 0)
+        ids.update(self.id_of)
+        return ids
 
     def tokens(self, pattern: Sequence[int]) -> list[str]:
         return [self.names[a] for a in pattern]
@@ -123,12 +135,13 @@ def parse_spmf(lines: Iterable[str]) -> list[list[str]]:
             continue
         current: list[str] = []
         itemset: list[str] = []
-        for tok in fields:
+        # the end of the line closes an open itemset, as -1 does
+        for tok in fields + ["-1"]:
             try:
                 item = int(tok)
             except ValueError:
                 raise DatasetError(f"line {lineno}: non-integer item {tok!r}")
-            if item == -1:
+            if item in (-1, -2):
                 if len(itemset) > 1:
                     raise DatasetError(
                         f"line {lineno}: itemsets with more than one item "
@@ -136,23 +149,13 @@ def parse_spmf(lines: Iterable[str]) -> list[list[str]]:
                     )
                 current.extend(itemset)
                 itemset = []
-            elif item == -2:
-                if len(itemset) > 1:
-                    raise DatasetError(
-                        f"line {lineno}: itemsets with more than one item "
-                        "are not supported"
-                    )
-                current.extend(itemset)
-                itemset = []
-                if current:
+                if item == -2 and current:
                     seqs.append(current)
-                current = []
+                    current = []
             elif item < 0:
                 raise DatasetError(f"line {lineno}: unexpected marker {item}")
             else:
                 itemset.append(tok)
-        if itemset:
-            current.extend(itemset)
         if current:
             seqs.append(current)
     return seqs
@@ -197,20 +200,18 @@ def build_database(token_seqs: Sequence[Sequence[str]], min_sup: int = 1) -> Seq
         pairs, pos_map = compute_last_positions(seq, symbol_count)
         pair_rows.append(pairs)
         map_rows.append(pos_map)
-    supports = [0] * (symbol_count + 1)
-    for row in map_rows[1:]:
-        for a in range(1, symbol_count + 1):
-            if row[a]:
-                supports[a] += 1
     return SequenceDatabase(
         seqs=tuple(seqs),
         names=tuple(names),
         last_pos_list=tuple(pair_rows),
         last_pos_map=tuple(map_rows),
         max_len=max(len(s) for s in seqs[1:]),
-        symbol_supports=tuple(supports),
+        # no sequence holding a surviving token is emptied, so it keeps its
+        # input support
+        symbol_supports=(0, *(support[tok] for tok in names[1:])),
         input_sequences=len(token_seqs),
         id_of=id_of,
+        dropped=frozenset(support).difference(id_of),
     )
 
 
@@ -240,8 +241,3 @@ def write_plain(db: SequenceDatabase, out: TextIO) -> None:
     for sid in db.sids:
         out.write(" ".join(names[a] for a in db.seqs[sid]))
         out.write("\n")
-
-
-def iter_plain(db: SequenceDatabase) -> Iterator[str]:
-    for sid in db.sids:
-        yield " ".join(db.names[a] for a in db.seqs[sid])

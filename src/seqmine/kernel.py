@@ -7,9 +7,10 @@ sparse sets whose live region is delimited by a reversible size: removal is
 an O(1) swap behind the live region, and restoring the size recovers the
 previous domain as a set with no per-value bookkeeping.
 
-Propagators signal failure through their return value, never by raising;
-an empty domain is reported as a failed removal, not silently produced.
-Everything here is single-threaded.
+The search runs each propagator once per node; the `Propagator` contract
+is what makes one pass enough.  Propagators signal failure through their
+return value, never by raising; an empty domain is reported as a failed
+removal, not silently produced.  Everything here is single-threaded.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ class Trail:
         self._entries: list = []
         self._marks: list[int] = []
         self._magic = 1
-        #: bumped by every domain mutation; lets the search detect fix-points
-        self.revision = 0
 
     @property
     def depth(self) -> int:
@@ -166,7 +165,6 @@ class FDVariable:
             return False
         self._swap(self._index[a], n - 1)
         self._size.set(n - 1)
-        self._trail.revision += 1
         return True
 
     def assign(self, a: int) -> bool:
@@ -177,7 +175,6 @@ class FDVariable:
             return True
         self._swap(self._index[a], 0)
         self._size.set(1)
-        self._trail.revision += 1
         return True
 
     def sorted_values(self) -> list[int]:
@@ -198,10 +195,12 @@ class FDVariable:
 class Propagator:
     """Base class for constraint propagators.
 
-    ``propagate(depth)`` is called with the index of the variable just bound
-    by the search (-1 for the initial fix-point at the root).  All variables
-    at or below `depth` are bound.  Implementations must be idempotent under
-    repeated calls at the same depth and report failure by returning False.
+    ``propagate(depth)`` is called once per search node with the index of
+    the variable just bound by the search (-1 once at the root, before any
+    variable is bound).  All variables at or below `depth` are bound.  An
+    implementation may read only those bound variables and may prune only
+    the next variable, ``depth + 1``; under that contract one pass over all
+    propagators is already stable.  Failure is reported by returning False.
     """
 
     def propagate(self, depth: int) -> bool:
@@ -213,12 +212,14 @@ class _Abort(Exception):
 
 
 class SearchEngine:
-    """Depth-first enumeration of all solutions with fix-point propagation.
+    """Depth-first enumeration of all solutions, one propagation pass a node.
 
     Variables are branched strictly left to right; values are tried in
     ascending order with 0 (the pattern terminator) last.  After each
-    assignment the propagators run until no domain changes.  Solutions are
-    complete assignments, delivered to the sink as a list of values.  The
+    assignment every propagator runs once, in registration order.  A
+    solution is the bound prefix: it is complete when a branch assigns 0
+    (the terminator itself is not part of it) or when the last variable is
+    filled, and it reaches the sink as the list of its nonzero values.  The
     whole search runs inside one trail level, so all state (domains and any
     reversible propagator state) is exactly restored afterwards, whether the
     search finishes or is aborted by the node hook.
@@ -254,7 +255,7 @@ class SearchEngine:
         base_depth = trail.depth
         trail.push_level()
         try:
-            if self._fixpoint(-1):
+            if self._propagate(-1):
                 self._search(0)
         except _Abort:
             self.aborted = True
@@ -264,27 +265,17 @@ class SearchEngine:
                 trail.restore_level()
         return self.solutions
 
-    def _fixpoint(self, depth: int) -> bool:
-        trail = self._trail
-        propagators = self._propagators
-        while True:
-            before = trail.revision
-            for prop in propagators:
-                if not prop.propagate(depth):
-                    return False
-            if trail.revision == before:
-                return True
+    def _propagate(self, depth: int) -> bool:
+        for prop in self._propagators:
+            if not prop.propagate(depth):
+                return False
+        return True
 
     def _search(self, depth: int) -> None:
         variables = self._vars
-        last = len(variables) - 1
-        if depth > last or (
-            variables[depth].is_bound()
-            and variables[depth].value() == 0
-            and variables[last].is_bound()
-        ):
-            # bound to 0 with the tail filled in: the pattern is complete
-            self._emit()
+        if depth == len(variables):
+            # every slot filled: the pattern ends without a terminator
+            self._emit(depth)
             return
         var = variables[depth]
         trail = self._trail
@@ -294,13 +285,16 @@ class SearchEngine:
             if hook is not None and not hook():
                 raise _Abort
             trail.push_level()
-            if var.assign(a) and self._fixpoint(depth):
-                self._search(depth + 1)
+            if var.assign(a) and self._propagate(depth):
+                if a == 0:
+                    self._emit(depth)
+                else:
+                    self._search(depth + 1)
             else:
                 self.failures += 1
             trail.restore_level()
 
-    def _emit(self) -> None:
+    def _emit(self, length: int) -> None:
         self.solutions += 1
         if self._sink is not None:
-            self._sink([v.value() for v in self._vars])
+            self._sink([v.value() for v in self._vars[:length]])

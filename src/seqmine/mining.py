@@ -89,7 +89,7 @@ def build_model(
     variables += [FDVariable(trail, range(0, n + 1)) for _ in range(length - 1)]
     propagators: list = []
     if config.regex is not None:
-        dfa = compile_regex(config.regex, db.id_of, n)
+        dfa = compile_regex(config.regex, db.literal_ids(), n)
         propagators.append(RegularConstraint(dfa, variables, trail))
     if config.length is not None:
         propagators.append(PatternLength(config.length, variables))
@@ -122,10 +122,7 @@ def mine(
     result = MiningResult()
 
     def sink(values: list[int]) -> None:
-        k = 0
-        while k < len(values) and values[k] != 0:
-            k += 1
-        pattern = tuple(values[:k])
+        pattern = tuple(values)
         support = frequency.projection.size.value
         if on_pattern is not None:
             on_pattern(pattern, support)

@@ -98,7 +98,7 @@ def pattern_filter(
             return spec.at_most is None or n <= spec.at_most
         checks.append(check)
     if config.regex is not None:
-        tree = parse_regex(config.regex, db.id_of)
+        tree = parse_regex(config.regex, db.literal_ids())
         compiled = _stdlib_re.compile(regex_to_python(tree))
         checks.append(
             lambda p: compiled.fullmatch("".join(_pua(a) for a in p)) is not None

@@ -1,9 +1,9 @@
 """Projected-frequency propagation over a shared stacked pseudo-projection.
 
 The propagator enforces, over pattern variables P1..PL, that the prefix of
-nonzero symbols stays frequent: once a variable is bound to 0 the rest of
-the pattern is forced to 0, otherwise the projection window is extended by
-the new symbol, the search fails when the window support drops below the
+nonzero symbols stays frequent: a variable bound to 0 ends the pattern and
+needs no work, otherwise the projection window is extended by the new
+symbol, the search fails when the window support drops below the
 threshold, and infrequent symbols are filtered from the next variable only.
 
 The window lives in two growable arrays of (sequence id, suffix start)
@@ -146,37 +146,22 @@ class ProjectionPropagator(Propagator):
 
     def propagate(self, depth: int) -> bool:
         variables = self.vars
-        f = self.prefix_len.value
-        advanced = False
-        closed = False
+        start = f = self.prefix_len.value
         while f <= depth:
             a = variables[f].value()
             if a == 0:
-                closed = True
-                break
+                break  # the pattern ended at length f
             if not self._extend(a):
                 return False
             f += 1
-            advanced = True
-        if advanced:
-            self.prefix_len.set(f)
-            if f > self.peak_depth:
-                self.peak_depth = f
-            if self.self_check:
-                self._verify_counts()
-        if closed:
-            return self._close(f)
-        if advanced:
-            return self._filter(f)
-        return True
-
-    def _close(self, f: int) -> bool:
-        # the pattern ended at length f: zero-fill the tail
-        variables = self.vars
-        for j in range(f + 1, len(variables)):
-            if not variables[j].assign(0):
-                return False
-        return True
+        if f == start:
+            return True
+        self.prefix_len.set(f)
+        if f > self.peak_depth:
+            self.peak_depth = f
+        if self.self_check:
+            self._verify_counts()
+        return self._filter(f)
 
     def _filter(self, f: int) -> bool:
         if f >= len(self.vars):

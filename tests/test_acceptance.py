@@ -193,18 +193,22 @@ def _constraint_suite(db):
     return configs
 
 
+def _constraint_corpora():
+    rng = random.Random(55)
+    corpora = [loads(SDB1_TEXT, min_sup=1)]
+    for _ in range(24):
+        raw = random_sequences(rng, 7, 7, 3)
+        try:
+            corpora.append(build_database(raw, 1))
+        except EmptyDatabaseError:
+            continue
+    return corpora
+
+
 def test_c5_constrained_mining_equals_post_filtering():
     with verdict(5, "constrained mining equals filtering unconstrained output"):
-        rng = random.Random(55)
         checked = 0
-        corpora = [loads(SDB1_TEXT, min_sup=1)]
-        for _ in range(24):
-            raw = random_sequences(rng, 7, 7, 3)
-            try:
-                corpora.append(build_database(raw, 1))
-            except EmptyDatabaseError:
-                continue
-        for db in corpora:
+        for db in _constraint_corpora():
             unconstrained = dict(mine(db, MiningConfig(min_sup=1)).patterns)
             for config in _constraint_suite(db):
                 oracle_config = OracleConfig(

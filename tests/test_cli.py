@@ -207,6 +207,14 @@ def test_bad_regex_is_a_usage_error(capsys, data):
     assert code == 2
 
 
+def test_regex_may_name_a_token_below_the_threshold(capsys, data):
+    # D occurs once: it is known, but no frequent pattern contains it
+    code, out, err = run(capsys, "mine", data, "--minsup", "2", "--regex", "A (B|D)")
+    assert code == 0
+    assert out == "A B #SUP: 3\n"
+    assert err == ""
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -156,6 +156,16 @@ def test_regex_requiring_infrequent_word_yields_nothing(sdb1):
     assert engine_patterns(sdb1, 1, regex="A A") == []
 
 
+def test_regex_literal_filtered_out_at_load_matches_nothing(sdb1_theta2):
+    # D occurs in the input, but below the threshold
+    assert "D" in sdb1_theta2.dropped
+    oracle_config = OracleConfig(min_sup=2, regex="A (B|D)")
+    expected = mine_brute_force(sdb1_theta2, oracle_config)
+    assert expected == [((1, 2), 3)]
+    assert engine_patterns(sdb1_theta2, 2, regex="A (B|D)") == expected
+    assert engine_patterns(sdb1_theta2, 2, regex="D") == []
+
+
 def test_regex_on_full_length_patterns():
     db = build_database([["A", "B"], ["A", "B"]], 1)
     assert engine_patterns(db, 1, regex="A B") == [((1, 2), 2)]

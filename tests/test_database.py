@@ -151,6 +151,8 @@ def test_parse_spmf_missing_trailing_terminator():
 def test_parse_spmf_rejects_multi_item_itemsets():
     with pytest.raises(DatasetError, match="line 1"):
         parse_spmf(["1 2 -1 -2"])
+    with pytest.raises(DatasetError, match="line 1"):
+        parse_spmf(["4 -1 5 6"])
 
 
 def test_parse_spmf_rejects_unknown_marker():

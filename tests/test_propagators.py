@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +14,11 @@ from seqmine import (
     build_model,
     mine,
 )
-from seqmine.kernel import SearchEngine
+from seqmine.kernel import Propagator, SearchEngine
 from seqmine.propagators import projected_symbol_counts
 
 from conftest import SDB1_TEXT, engine_patterns, random_sequences
+from test_acceptance import _constraint_corpora, _constraint_suite
 
 ALL_VARIANTS = ("baseline", "ppic", "ppdc", "ppmixed")
 
@@ -215,17 +217,64 @@ def test_peak_projection_depth(sdb1_theta2):
     assert result.stats.failures + result.stats.solution_count <= result.stats.search_nodes
 
 
-def test_solutions_carry_zero_filled_tails(sdb1_theta2):
-    model = build_model(sdb1_theta2, MiningConfig(min_sup=2))
+def test_sink_receives_each_pattern_once_without_terminator(sdb1_theta2):
+    # the second database has a pattern that fills every slot
+    full_length = build_database([["A", "B"], ["A", "B"]], 1)
+    for db, theta in ((sdb1_theta2, 2), (full_length, 1)):
+        config = MiningConfig(min_sup=theta)
+        model = build_model(db, config)
+        seen = []
+        engine = SearchEngine(
+            model.trail, model.variables, model.propagators, seen.append
+        )
+        engine.solve_all()
+        patterns = [tuple(values) for values in seen]
+        assert all(0 not in p for p in patterns)
+        assert len(set(patterns)) == len(patterns)
+        assert patterns == [p for p, _ in mine(db, config).patterns]
+    assert full_length.max_len == 2
+    assert patterns == [(1, 2), (1,), (2,)]
 
-    def check(values):
-        k = 0
-        while k < len(values) and values[k] != 0:
-            k += 1
-        assert all(v == 0 for v in values[k:])
 
-    engine = SearchEngine(model.trail, model.variables, model.propagators, check)
-    assert engine.solve_all() == 9
+class StabilityCheck(Propagator):
+    """Registered last: re-runs every other propagator at the same node and
+    asserts that each re-run succeeds and changes no domain size."""
+
+    def __init__(self, others, variables):
+        self.others = list(others)
+        self.vars = list(variables)
+        self.calls = 0
+
+    def propagate(self, depth):
+        sizes = [v.size for v in self.vars]
+        for prop in self.others:
+            assert prop.propagate(depth), (prop, depth)
+            assert [v.size for v in self.vars] == sizes, (prop, depth)
+        self.calls += 1
+        return True
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_one_propagation_pass_per_node_is_stable(variant):
+    checked = 0
+    for db in _constraint_corpora():
+        for config in _constraint_suite(db):
+            config = replace(config, propagator=variant)
+            model = build_model(db, config)
+            check = StabilityCheck(model.propagators, model.variables)
+            seen = []
+            engine = SearchEngine(
+                model.trail,
+                model.variables,
+                model.propagators + [check],
+                seen.append,
+            )
+            engine.solve_all()
+            # the root pass plus every node whose other propagators succeeded
+            assert check.calls == 1 + engine.nodes - engine.failures
+            assert [tuple(v) for v in seen] == [p for p, _ in mine(db, config).patterns]
+            checked += 1
+    assert checked >= 200
 
 
 def naive_window(db, prefix):
