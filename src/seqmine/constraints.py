@@ -2,15 +2,17 @@
 
 Each constraint is a kernel propagator over the pattern variables.  They
 share one discipline with the frequency propagator: only the domain of the
-next unbound variable is ever filtered, the 0 terminator is removed to
-force continuation and nonzero symbols are removed to force termination,
-and a variable bound to 0 means the pattern is complete (the terminator
-was only left available when ending there is permitted, so completions
-need no further checks).
+next unbound variable is ever filtered.  The 0 terminator is removed to
+force continuation; a multi-value filter is one `FDVariable.restrict` to
+the values allowed (``(0,)`` to force termination, the live symbols of the
+automaton state for the regex).  A variable bound to 0 means the pattern
+is complete (the terminator was only left available when ending there is
+permitted, so completions need no further checks).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,8 +62,8 @@ class PatternLength(Propagator):
     """Keep the pattern length inside the given bounds.
 
     While the bound prefix is shorter than the minimum the terminator is
-    removed from the next variable; once it reaches the maximum every
-    nonzero symbol is removed instead, forcing termination.
+    removed from the next variable; once it reaches the maximum the next
+    variable is restricted to the terminator, forcing termination.
     """
 
     def __init__(
@@ -80,10 +82,8 @@ class PatternLength(Propagator):
             # no slots left: the full-length pattern must satisfy the bounds
             return self.bounds.min_len <= length <= self.bounds.max_len
         var = variables[nxt]
-        if length == self.bounds.max_len:
-            for b in var.sorted_values():
-                if b != 0 and not var.remove(b):
-                    return False
+        if length == self.bounds.max_len and not var.restrict((0,)):
+            return False
         if length < self.bounds.min_len:
             if not var.remove(0):
                 return False
@@ -128,9 +128,10 @@ class RegularConstraint(Propagator):
     """Accept only patterns whose symbol string is in the DFA's language.
 
     Tracks the automaton state of the bound prefix in a reversible integer.
-    A nonzero symbol survives in the next domain only when, after taking
-    it, acceptance is still reachable within the pattern slots left; the
-    terminator survives only when the current state already accepts.
+    The next domain is restricted to the state's live symbols after which
+    acceptance is still reachable within the pattern slots left (a prefix
+    of `live`, which is ordered by that distance), plus the terminator when
+    the current state already accepts.
     """
 
     def __init__(
@@ -161,15 +162,6 @@ class RegularConstraint(Propagator):
         total = len(variables)
         if f >= total:
             return dfa.is_accepting(q)
-        var = variables[f]
-        budget = total - f  # pattern slots still available
-        min_steps = dfa.min_steps
-        row = dfa.transitions[q]
-        for b in var.sorted_values():
-            if b == 0:
-                if not dfa.is_accepting(q) and not var.remove(0):
-                    return False
-            elif 1 + min_steps[row[b]] > budget:
-                if not var.remove(b):
-                    return False
-        return True
+        # live symbols after which acceptance fits in the slots left
+        keep = dfa.live[q][: bisect_right(dfa.live_steps[q], total - f - 1)]
+        return variables[f].restrict(keep + (0,) if dfa.is_accepting(q) else keep)

@@ -3,14 +3,19 @@
 State restoration uses an undo log (the trail).  Reversible objects record
 their previous value on first write per search level, and restoring a level
 rewinds exactly the locations written since the matching push.  Domains are
-sparse sets whose live region is delimited by a reversible size: removal is
-an O(1) swap behind the live region, and restoring the size recovers the
-previous domain as a set with no per-value bookkeeping.
+sparse sets whose live region is delimited by a reversible size.  Removing
+one value is an O(1) swap behind the live region; `FDVariable.restrict`,
+the one bulk filter, swaps the values to keep to the front and sets the
+size once, in time linear in what is kept, not in the domain.  Restoring
+the size recovers the previous domain as a set with no per-value
+bookkeeping.
 
-The search runs each propagator once per node; the `Propagator` contract
-is what makes one pass enough.  Propagators signal failure through their
-return value, never by raising; an empty domain is reported as a failed
-removal, not silently produced.  Everything here is single-threaded.
+The search is a loop over an explicit stack, so its depth is not bounded
+by Python's recursion limit.  It runs each propagator once per node; the
+`Propagator` contract is what makes one pass enough.  Propagators signal
+failure through their return value, never by raising; an empty domain is
+reported as a failed removal or restriction, not silently produced.
+Everything here is single-threaded.
 """
 
 from __future__ import annotations
@@ -111,11 +116,13 @@ class FDVariable:
     """Finite-domain variable over small non-negative integers.
 
     The domain is ``_values[:size]``; ``_index`` maps a value to its slot.
-    Removal swaps the value to the back of the live region and shrinks the
-    reversible size, so a later restore resurrects removed values (the live
-    region is a permutation, only its extent is trailed).  The domain never
-    becomes empty: a removal or assignment that would wipe it out leaves the
-    domain untouched and returns False.
+    `remove` swaps one value to the back of the live region and shrinks the
+    reversible size; `restrict` swaps the values to keep to the front and
+    shrinks the size to their count, and `assign` is its one-value case.
+    A later restore resurrects the dropped values (the live region is a
+    permutation, only its extent is trailed).  The domain never becomes
+    empty: a filter that would wipe it out leaves the domain untouched and
+    returns False.
     """
 
     __slots__ = ("_trail", "_values", "_index", "_size")
@@ -167,19 +174,33 @@ class FDVariable:
         self._size.set(n - 1)
         return True
 
+    def restrict(self, keep: Iterable[int]) -> bool:
+        """Reduce the domain to its intersection with `keep`, in O(|keep|).
+
+        Kept values are swapped to the front and the reversible size is set
+        once; duplicates and values outside the domain are ignored.  False,
+        with the domain untouched, when the intersection is empty.
+        """
+        index, n, k = self._index, self._size.value, 0
+        for a in keep:
+            if 0 <= a < len(index) and k <= index[a] < n:
+                self._swap(index[a], k)
+                k += 1
+        if k:
+            self._size.set(k)
+        return k > 0
+
     def assign(self, a: int) -> bool:
         """Reduce the domain to {a}; False when `a` is not available."""
-        if not self.contains(a):
-            return False
-        if self._size.value == 1:
-            return True
-        self._swap(self._index[a], 0)
-        self._size.set(1)
-        return True
+        return self.restrict((a,))
+
+    def values(self) -> list[int]:
+        """Current domain in no particular order (a fresh list)."""
+        return self._values[: self._size.value]
 
     def sorted_values(self) -> list[int]:
         """Current domain in ascending order (a fresh list)."""
-        return sorted(self._values[: self._size.value])
+        return sorted(self.values())
 
     def branch_values(self) -> list[int]:
         """Values in branching order: ascending, with 0 tried last."""
@@ -256,7 +277,7 @@ class SearchEngine:
         trail.push_level()
         try:
             if self._propagate(-1):
-                self._search(0)
+                self._search()
         except _Abort:
             self.aborted = True
         finally:
@@ -271,28 +292,44 @@ class SearchEngine:
                 return False
         return True
 
-    def _search(self, depth: int) -> None:
+    def _search(self) -> None:
+        """Depth-first loop over a stack of branch iterators, one per depth.
+
+        A branch's trail level stays open while its child depth is on the
+        stack, so the pattern length is not limited by Python's recursion.
+        """
         variables = self._vars
-        if depth == len(variables):
-            # every slot filled: the pattern ends without a terminator
-            self._emit(depth)
+        last = len(variables)
+        if last == 0:
+            self._emit(0)
             return
-        var = variables[depth]
         trail = self._trail
         hook = self.node_hook
-        for a in var.branch_values():
-            self.nodes += 1
-            if hook is not None and not hook():
-                raise _Abort
-            trail.push_level()
-            if var.assign(a) and self._propagate(depth):
-                if a == 0:
-                    self._emit(depth)
+        stack = [iter(variables[0].branch_values())]
+        while stack:
+            depth = len(stack) - 1
+            var = variables[depth]
+            for a in stack[-1]:
+                self.nodes += 1
+                if hook is not None and not hook():
+                    raise _Abort
+                trail.push_level()
+                if var.assign(a) and self._propagate(depth):
+                    if a == 0:
+                        self._emit(depth)
+                    elif depth + 1 == last:
+                        # every slot filled: the pattern ends without a terminator
+                        self._emit(last)
+                    else:
+                        stack.append(iter(variables[depth + 1].branch_values()))
+                        break  # descend; this branch's level stays open
                 else:
-                    self._search(depth + 1)
+                    self.failures += 1
+                trail.restore_level()
             else:
-                self.failures += 1
-            trail.restore_level()
+                stack.pop()
+                if stack:
+                    trail.restore_level()  # the parent branch is done
 
     def _emit(self, length: int) -> None:
         self.solutions += 1

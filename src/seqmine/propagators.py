@@ -167,12 +167,8 @@ class ProjectionPropagator(Propagator):
         if f >= len(self.vars):
             return True
         var = self.vars[f]
-        theta = self.min_sup
-        for b in var.sorted_values():
-            if b != 0 and self._freq_of(b) < theta:
-                if not var.remove(b):
-                    return False
-        return True
+        theta, freq = self.min_sup, self._freq_of
+        return var.restrict([b for b in var.values() if b == 0 or freq(b) >= theta])
 
     def _verify_counts(self) -> None:
         expect = projected_symbol_counts(self.db, self.projection.window())

@@ -17,6 +17,7 @@ and double as reject sinks.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -224,6 +225,8 @@ class PatternDFA:
     transition function is total), `start` is state 0's id, and
     `min_steps[q]` is the length of the shortest symbol string leading from
     `q` to acceptance (0 for accepting states, NO_ACCEPT when none exists).
+    `live[q]` lists the symbols whose successor can still accept, ordered
+    by that successor's distance, which `live_steps[q]` holds in parallel.
     Every state is reachable from the start; states with an infinite
     distance absorb all input and can never accept.
     """
@@ -239,7 +242,15 @@ class PatternDFA:
         self.accepting = accepting
         self.symbol_count = symbol_count
         self.start = start
-        self.min_steps = self._distances()
+        self.min_steps = dist = self._distances()
+        self.live: list[tuple[int, ...]] = []
+        self.live_steps: list[tuple[int, ...]] = []
+        for row in transitions:
+            live = sorted(
+                (dist[t], a) for a, t in enumerate(row) if a and dist[t] < NO_ACCEPT
+            )
+            self.live.append(tuple(a for _, a in live))
+            self.live_steps.append(tuple(d for d, _ in live))
 
     def _distances(self) -> list[int]:
         n = len(self.transitions)
@@ -290,7 +301,8 @@ def compile_regex(
     tree = parse_regex(expr, symbol_ids)
     nfa = _NFA()
     entry, exit_ = nfa.build(tree)
-    start = nfa.closure([entry])
+    closure = cache(nfa.closure)  # symbols sharing a move set share its closure
+    start = closure(frozenset([entry]))
     subsets = {start: 0}
     transitions: list[tuple[int, ...]] = []
     order = [start]
@@ -303,7 +315,7 @@ def compile_regex(
             for a, t in nfa.sym[q]:
                 moves.setdefault(a, set()).add(t)
         for a in range(1, symbol_count + 1):
-            target = nfa.closure(moves[a]) if a in moves else frozenset()
+            target = closure(frozenset(moves[a])) if a in moves else frozenset()
             if target not in subsets:
                 subsets[target] = len(order)
                 order.append(target)

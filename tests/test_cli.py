@@ -367,3 +367,16 @@ def test_module_invocation_matches_in_process_output(data):
     )
     assert proc.returncode == 0
     assert proc.stdout == MINE_THETA2_OUTPUT
+
+
+def test_mine_deep_pattern_exits_zero(tmp_path):
+    path = tmp_path / "deep.txt"
+    path.write_text(("A " * 1500 + "\n") * 2)
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqmine.cli", "mine", str(path), "--minsup", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 1500

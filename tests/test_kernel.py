@@ -169,6 +169,32 @@ def test_branch_values_put_zero_last():
     assert var_nz.branch_values() == [1, 2]
 
 
+def test_restrict_keeps_the_intersection_and_handles_edge_cases():
+    trail = Trail()
+    var = FDVariable(trail, [0, 2, 3, 5, 7])
+    trail.push_level()
+    # duplicates, absent values and values beyond the largest one are ignored
+    assert var.restrict([5, 5, 4, 9, 100, 2, -1, 2])
+    assert var.sorted_values() == [2, 5]
+    assert not var.contains(0) and not var.contains(7)
+    entries = trail.entry_count
+    # an empty intersection fails and changes neither domain nor trail
+    assert not var.restrict([0, 3, 7, 8])
+    assert var.sorted_values() == [2, 5]
+    assert trail.entry_count == entries
+    # a restrict to the whole domain writes nothing
+    assert var.restrict([2, 5, 6])
+    assert trail.entry_count == entries
+    trail.push_level()
+    assert var.restrict((5,))
+    assert var.is_bound() and var.value() == 5
+    trail.restore_level()
+    assert var.sorted_values() == [2, 5]
+    # the restrict made below the first level is undone with it
+    trail.restore_level()
+    assert var.sorted_values() == [0, 2, 3, 5, 7]
+
+
 def test_duplicate_init_values_collapse():
     trail = Trail()
     var = FDVariable(trail, [2, 2, 1, 1])
@@ -203,8 +229,15 @@ def run_script(seed: int, operations: int) -> None:
             assert snapshot(ints, doms) == stack.pop()
         elif op < 0.6:
             rng.choice(ints).set(rng.randint(0, 99))
-        elif op < 0.9:
+        elif op < 0.75:
             rng.choice(doms).remove(rng.randint(0, 10))
+        elif op < 0.9:
+            var = rng.choice(doms)
+            before = frozenset(var.sorted_values())
+            keep = [rng.randint(0, 11) for _ in range(rng.randint(0, 6))]
+            expect = before & set(keep)
+            assert var.restrict(keep) == bool(expect)
+            assert set(var.sorted_values()) == (expect or before)
         else:
             var = rng.choice(doms)
             values = var.sorted_values()
@@ -313,6 +346,13 @@ def test_abort_below_open_node_levels_restores_all_of_them():
     assert trail.depth == 0
     assert x.sorted_values() == [1, 2]
     assert y.sorted_values() == [1, 2]
+
+
+def test_deep_pattern_is_mined_without_recursion_limit():
+    # one search depth per pattern symbol: far beyond Python's recursion limit
+    db = loads("A " * 1500 + "\n" + "A " * 1500 + "\n", min_sup=2)
+    result = mine(db, MiningConfig(min_sup=2))
+    assert sorted(result.patterns) == [((1,) * k, 2) for k in range(1, 1501)]
 
 
 def test_mining_is_pure_across_repeated_calls(sdb1):
