@@ -4,9 +4,10 @@ Each constraint is a kernel propagator over the pattern variables.  They
 share one discipline with the frequency propagator: only the domain of the
 next unbound variable is ever filtered.  The 0 terminator is removed to
 force continuation; a multi-value filter is one `FDVariable.restrict` to
-the values allowed (``(0,)`` to force termination, the live symbols of the
-automaton state for the regex).  A variable bound to 0 means the pattern
-is complete (the terminator was only left available when ending there is
+the values allowed (the live symbols of the automaton state for the
+regex).  A length maximum needs no propagator: the model has no more
+variables than the maximum.  A variable bound to 0 means the pattern is
+complete (the terminator was only left available when ending there is
 permitted, so completions need no further checks).
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .kernel import FDVariable, Propagator, ReversibleInt, Trail
-from .regex import NO_ACCEPT, PatternDFA
+from .regex import PatternDFA
 
 __all__ = [
     "LengthBounds",
@@ -59,11 +60,11 @@ class SymbolCardinality:
 
 
 class PatternLength(Propagator):
-    """Keep the pattern length inside the given bounds.
+    """Keep the pattern length at or above the minimum of the bounds.
 
     While the bound prefix is shorter than the minimum the terminator is
-    removed from the next variable; once it reaches the maximum the next
-    variable is restricted to the terminator, forcing termination.
+    removed from the next variable.  The maximum is the model's variable
+    count (see `mining.build_model`), so no pattern can exceed it.
     """
 
     def __init__(
@@ -77,17 +78,10 @@ class PatternLength(Propagator):
         if depth >= 0 and variables[depth].value() == 0:
             return True
         length = depth + 1  # bound prefix is all nonzero
-        nxt = depth + 1
-        if nxt >= len(variables):
-            # no slots left: the full-length pattern must satisfy the bounds
-            return self.bounds.min_len <= length <= self.bounds.max_len
-        var = variables[nxt]
-        if length == self.bounds.max_len and not var.restrict((0,)):
-            return False
-        if length < self.bounds.min_len:
-            if not var.remove(0):
-                return False
-        return True
+        if length >= self.bounds.min_len:
+            return True
+        # too short: continuing is forced, so the next slot must exist
+        return length < len(variables) and variables[length].remove(0)
 
 
 class CardinalityConstraint(Propagator):
@@ -131,7 +125,8 @@ class RegularConstraint(Propagator):
     The next domain is restricted to the state's live symbols after which
     acceptance is still reachable within the pattern slots left (a prefix
     of `live`, which is ordered by that distance), plus the terminator when
-    the current state already accepts.
+    the current state already accepts.  So every symbol bound after that
+    state has a move from it, which leads to a state that can accept.
     """
 
     def __init__(
@@ -152,9 +147,7 @@ class RegularConstraint(Propagator):
             if a == 0:
                 # complete: the prefix must be accepted
                 return dfa.is_accepting(q)
-            q = dfa.step(q, a)
-            if dfa.min_steps[q] >= NO_ACCEPT:
-                return False
+            q = dfa.transitions[q][a]
             f += 1
         if f != self._consumed.value:
             self._consumed.set(f)

@@ -1,7 +1,8 @@
 """End-to-end mining driver: model construction, search, pattern collection.
 
-The model has one variable per possible pattern position, each ranging over
-the symbol ids plus the 0 terminator (the first position may not be 0, so
+The model has one variable per pattern position up to the longest sequence,
+or up to the length maximum when that is smaller, each ranging over the
+symbol ids plus the 0 terminator (the first position may not be 0, so
 every mined pattern is non-empty).  Registered propagators run in a fixed
 order: regex, length, cardinality, then projected frequency.  Patterns are
 reported with their exact support, in depth-first branching order.
@@ -85,11 +86,13 @@ def build_model(
     trail = Trail()
     n = db.symbol_count
     length = db.max_len
+    if config.length is not None:
+        length = min(length, config.length.max_len)
     variables = [FDVariable(trail, range(1, n + 1))]
     variables += [FDVariable(trail, range(0, n + 1)) for _ in range(length - 1)]
     propagators: list = []
     if config.regex is not None:
-        dfa = compile_regex(config.regex, db.literal_ids(), n)
+        dfa = compile_regex(config.regex, db.literal_ids())
         propagators.append(RegularConstraint(dfa, variables, trail))
     if config.length is not None:
         propagators.append(PatternLength(config.length, variables))

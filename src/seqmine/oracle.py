@@ -70,9 +70,9 @@ def regex_to_python(node) -> str:
     if kind == "sym":
         return _stdlib_re.escape(_pua(node[1]))
     if kind == "cat":
-        return regex_to_python(node[1]) + regex_to_python(node[2])
+        return "".join(map(regex_to_python, node[1:]))
     if kind == "alt":
-        return f"(?:{regex_to_python(node[1])}|{regex_to_python(node[2])})"
+        return f"(?:{'|'.join(map(regex_to_python, node[1:]))})"
     if kind == "star":
         return f"(?:{regex_to_python(node[1])})*"
     if kind == "plus":

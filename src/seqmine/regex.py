@@ -5,13 +5,14 @@ Literals are symbol tokens: a single non-space character stands for itself
 and multi-character tokens are written in angle brackets (``<VALINE>``).
 Whitespace separates tokens and is otherwise ignored.  Supported operators,
 tightest first: ``*`` ``+`` ``?`` postfix repetition, implicit
-concatenation, ``|`` alternation; parentheses group.
+concatenation, ``|`` alternation; parentheses group, at most
+`MAX_NESTING` deep.
 
 Compilation goes expression -> syntax tree -> epsilon-NFA (Thompson
-construction) -> DFA (subset construction over the symbol alphabet).  The
-DFA also carries, per state, the minimum number of further symbols needed
-to reach acceptance; states that can never accept get an infinite distance
-and double as reject sinks.
+construction) -> DFA (subset construction over the moves the expression's
+literals name).  A DFA row holds only the symbols with a move; every other
+symbol rejects, so no dead state is built.  The DFA also carries, per
+state, the minimum number of further symbols needed to reach acceptance.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ __all__ = [
 
 #: distance assigned to states from which acceptance is unreachable
 NO_ACCEPT = 1 << 30
+#: deepest parenthesis nesting the parser accepts
+MAX_NESTING = 100
+#: postfix operator -> repetition node kind
+_POSTFIX = {"*": "star", "+": "plus", "?": "opt"}
 
 
 class RegexError(Exception):
@@ -52,7 +57,7 @@ class UnknownTokenError(RegexError):
 
 def _tokenize(expr: str, symbol_ids: Mapping[str, int]):
     tokens: list[tuple[str, int, int]] = []  # (kind, payload, position)
-    i = 0
+    i = depth = 0
     n = len(expr)
     while i < n:
         ch = expr[i]
@@ -60,6 +65,9 @@ def _tokenize(expr: str, symbol_ids: Mapping[str, int]):
             i += 1
             continue
         if ch in "()|*+?":
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise RegexSyntaxError(f"parentheses nested over {MAX_NESTING}", i)
             tokens.append((ch, 0, i))
             i += 1
             continue
@@ -88,7 +96,9 @@ class _Parser:
     """Recursive descent over the token list.
 
     Grammar: alt := cat ('|' cat)* ; cat := rep+ ; rep := atom [*+?]* ;
-    atom := literal | '(' alt ')'.
+    atom := literal | '(' alt ')'.  Concatenation and alternation give
+    n-ary ``("cat", *parts)`` and ``("alt", *branches)`` nodes, and a run of
+    postfix operators folds to one, so only parentheses nest the tree.
     """
 
     def __init__(self, tokens, length):
@@ -109,11 +119,11 @@ class _Parser:
         return node
 
     def _alternation(self):
-        node = self._concatenation()
+        branches = [self._concatenation()]
         while self._peek()[0] == "|":
             self._pos += 1
-            node = ("alt", node, self._concatenation())
-        return node
+            branches.append(self._concatenation())
+        return branches[0] if len(branches) == 1 else ("alt", *branches)
 
     def _concatenation(self):
         parts = []
@@ -122,24 +132,18 @@ class _Parser:
         if not parts:
             kind, _, where = self._peek()
             raise RegexSyntaxError(f"expected a token, got {kind!r}", where)
-        node = parts[0]
-        for part in parts[1:]:
-            node = ("cat", node, part)
-        return node
+        return parts[0] if len(parts) == 1 else ("cat", *parts)
 
     def _repetition(self):
         node = self._atom()
-        while True:
-            kind, _, _ = self._peek()
-            if kind == "*":
-                node = ("star", node)
-            elif kind == "+":
-                node = ("plus", node)
-            elif kind == "?":
-                node = ("opt", node)
-            else:
-                return node
+        ops = set()
+        while self._peek()[0] in _POSTFIX:
+            ops.add(self._peek()[0])
             self._pos += 1
+        if not ops:
+            return node
+        # x** = x*, x++ = x+, x?? = x?; any mix (x+?, x?+, x*+, ...) is x*
+        return (_POSTFIX[ops.pop()] if len(ops) == 1 else "star", node)
 
     def _atom(self):
         kind, payload, where = self._peek()
@@ -182,17 +186,18 @@ class _NFA:
             self.sym[s].append((node[1], t))
             return s, t
         if kind == "cat":
-            s1, t1 = self.build(node[1])
-            s2, t2 = self.build(node[2])
-            self.eps[t1].append(s2)
-            return s1, t2
+            entry, exit_ = self.build(node[1])
+            for part in node[2:]:
+                s, t = self.build(part)
+                self.eps[exit_].append(s)
+                exit_ = t
+            return entry, exit_
         if kind == "alt":
-            s1, t1 = self.build(node[1])
-            s2, t2 = self.build(node[2])
             s, t = self.state(), self.state()
-            self.eps[s] += [s1, s2]
-            self.eps[t1].append(t)
-            self.eps[t2].append(t)
+            for branch in node[1:]:
+                s1, t1 = self.build(branch)
+                self.eps[s].append(s1)
+                self.eps[t1].append(t)
             return s, t
         if kind in ("star", "plus", "opt"):
             s1, t1 = self.build(node[1])
@@ -219,36 +224,32 @@ class _NFA:
 
 
 class PatternDFA:
-    """Deterministic automaton over symbol ids 1..N with distance table.
+    """Deterministic automaton over symbol ids with a distance table.
 
-    `transitions[q][a]` is the successor of state `q` on symbol `a` (the
-    transition function is total), `start` is state 0's id, and
+    `transitions[q]` maps each symbol with a move from state `q` to its
+    successor; any other symbol rejects.  `start` is the start state, and
     `min_steps[q]` is the length of the shortest symbol string leading from
-    `q` to acceptance (0 for accepting states, NO_ACCEPT when none exists).
+    `q` to acceptance (0 for accepting states, NO_ACCEPT when none exists,
+    which happens only after a literal of a token that maps to no symbol).
     `live[q]` lists the symbols whose successor can still accept, ordered
     by that successor's distance, which `live_steps[q]` holds in parallel.
-    Every state is reachable from the start; states with an infinite
-    distance absorb all input and can never accept.
+    Every state is reachable from the start.
     """
 
     def __init__(
         self,
-        transitions: list[tuple[int, ...]],
+        transitions: list[dict[int, int]],
         accepting: frozenset[int],
-        symbol_count: int,
         start: int = 0,
     ) -> None:
         self.transitions = transitions
         self.accepting = accepting
-        self.symbol_count = symbol_count
         self.start = start
         self.min_steps = dist = self._distances()
         self.live: list[tuple[int, ...]] = []
         self.live_steps: list[tuple[int, ...]] = []
         for row in transitions:
-            live = sorted(
-                (dist[t], a) for a, t in enumerate(row) if a and dist[t] < NO_ACCEPT
-            )
+            live = sorted((dist[t], a) for a, t in row.items() if dist[t] < NO_ACCEPT)
             self.live.append(tuple(a for _, a in live))
             self.live_steps.append(tuple(d for d, _ in live))
 
@@ -257,8 +258,8 @@ class PatternDFA:
         dist = [NO_ACCEPT] * n
         back: list[list[int]] = [[] for _ in range(n)]
         for q, row in enumerate(self.transitions):
-            for a in range(1, self.symbol_count + 1):
-                back[row[a]].append(q)
+            for t in row.values():
+                back[t].append(q)
         queue = deque()
         for q in self.accepting:
             dist[q] = 0
@@ -276,53 +277,53 @@ class PatternDFA:
     def state_count(self) -> int:
         return len(self.transitions)
 
-    def step(self, q: int, a: int) -> int:
-        return self.transitions[q][a]
+    def step(self, q: int, a: int) -> int | None:
+        """Successor of `q` on `a`, or None when `a` rejects."""
+        return self.transitions[q].get(a)
 
     def is_accepting(self, q: int) -> bool:
         return q in self.accepting
-
-    def is_dead(self, q: int) -> bool:
-        """True when no continuation from `q` can ever accept."""
-        return self.min_steps[q] >= NO_ACCEPT
 
     def accepts(self, symbols: Sequence[int]) -> bool:
         q = self.start
         step = self.transitions
         for a in symbols:
-            q = step[q][a]
+            q = step[q].get(a)
+            if q is None:
+                return False
         return q in self.accepting
 
 
-def compile_regex(
-    expr: str, symbol_ids: Mapping[str, int], symbol_count: int
-) -> PatternDFA:
-    """Compile `expr` into a PatternDFA over symbols 1..symbol_count."""
+def compile_regex(expr: str, symbol_ids: Mapping[str, int]) -> PatternDFA:
+    """Compile `expr` into a PatternDFA over the ids of `symbol_ids`.
+
+    Id 0 stands for a token that maps to no symbol: its literal has no move.
+    """
     tree = parse_regex(expr, symbol_ids)
     nfa = _NFA()
     entry, exit_ = nfa.build(tree)
     closure = cache(nfa.closure)  # symbols sharing a move set share its closure
     start = closure(frozenset([entry]))
     subsets = {start: 0}
-    transitions: list[tuple[int, ...]] = []
+    transitions: list[dict[int, int]] = []
     order = [start]
     i = 0
     while i < len(order):
-        subset = order[i]
-        row = [0] * (symbol_count + 1)
         moves: dict[int, set[int]] = {}
-        for q in subset:
+        for q in order[i]:
             for a, t in nfa.sym[q]:
-                moves.setdefault(a, set()).add(t)
-        for a in range(1, symbol_count + 1):
-            target = closure(frozenset(moves[a])) if a in moves else frozenset()
+                if a:
+                    moves.setdefault(a, set()).add(t)
+        row = {}
+        for a, targets in moves.items():
+            target = closure(frozenset(targets))
             if target not in subsets:
                 subsets[target] = len(order)
                 order.append(target)
             row[a] = subsets[target]
-        transitions.append(tuple(row))
+        transitions.append(row)
         i += 1
     accepting = frozenset(
         idx for subset, idx in subsets.items() if exit_ in subset
     )
-    return PatternDFA(transitions, accepting, symbol_count)
+    return PatternDFA(transitions, accepting)

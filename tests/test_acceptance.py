@@ -349,11 +349,7 @@ def _accepting_walk(dfa, rng, max_len=18):
     while len(word) < max_len:
         if dfa.is_accepting(q) and rng.random() < 0.35:
             return word
-        options = [
-            a
-            for a in range(1, dfa.symbol_count + 1)
-            if not dfa.is_dead(dfa.step(q, a))
-        ]
+        options = sorted(dfa.live[q])
         if not options:
             return word if dfa.is_accepting(q) else None
         a = rng.choice(options)
@@ -366,7 +362,7 @@ def _check_regex_against_python(expr: str, seed: int) -> tuple[int, int]:
     letters = sorted(set(expr) & set("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
     ids = {name: i + 1 for i, name in enumerate(letters)}
     names = {i: name for name, i in ids.items()}
-    dfa = compile_regex(expr, ids, len(ids))
+    dfa = compile_regex(expr, ids)
     reference = stdlib_re.compile(expr.replace(" ", ""))
     rng = random.Random(seed)
     disagreements = 0

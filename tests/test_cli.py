@@ -215,6 +215,30 @@ def test_regex_may_name_a_token_below_the_threshold(capsys, data):
     assert err == ""
 
 
+@pytest.fixture
+def ab_data(tmp_path):
+    path = tmp_path / "ab.txt"
+    path.write_text("A B\nA B\n")
+    return str(path)
+
+
+def test_long_regexes_mine_without_recursion(capsys, ab_data):
+    many = "A" * 1200
+    code, out, err = run(capsys, "mine", ab_data, "--minsup", "1", "--regex", many)
+    assert (code, out, err) == (0, "", "")
+    stars = "A" + "*" * 5000
+    code, out, err = run(capsys, "mine", ab_data, "--minsup", "1", "--regex", stars)
+    assert (code, out, err) == (0, "A #SUP: 2\n", "")
+    assert run(capsys, "mine", ab_data, "--minsup", "1", "--regex", "A*")[1] == out
+
+
+def test_regex_nested_too_deep_is_a_usage_error(capsys, ab_data):
+    expr = "(" * 400 + "A" + ")" * 400
+    code, out, err = run(capsys, "mine", ab_data, "--minsup", "1", "--regex", expr)
+    assert (code, out) == (2, "")
+    assert "bad --regex" in err
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -86,8 +86,9 @@ def test_length_propagator_shapes_domains(sdb1_theta2):
     assert model.variables[1].assign(2)
     for prop in model.propagators:
         assert prop.propagate(1)
-    # prefix <A B> is at the maximum: termination is forced
-    assert model.variables[2].sorted_values() == [0]
+    # the maximum is the model size: <A B> fills the last slot and is emitted
+    assert len(model.variables) == 2
+    assert ((1, 2), 3) in mine(sdb1_theta2, config).patterns
 
 
 # ---------------------------------------------------------------- cardinality
