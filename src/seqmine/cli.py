@@ -6,8 +6,8 @@ lines is appended, and a run cut short by ``--timeout`` ends with a
 trailing ``# TIMEOUT`` line.  ``bench`` emits a CSV table comparing
 propagators across thresholds and fails when their solution counts
 disagree.  ``gen`` writes a reproducible random dataset.  Exit codes:
-0 success (including zero patterns), 2 bad flags, 3 dataset errors,
-4 timeout.
+0 success (including zero patterns), 1 ``bench`` strategies disagree,
+2 bad flags, 3 dataset errors, 4 timeout.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .regex import RegexError
 __all__ = ["main", "entry"]
 
 EXIT_OK = 0
+EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_TIMEOUT = 4
@@ -331,7 +332,7 @@ def _run_bench(args) -> int:
                 "bench: propagators disagree on the solution count",
                 file=sys.stderr,
             )
-            return 1
+            return EXIT_DISAGREE
     return EXIT_OK
 
 

@@ -1,17 +1,20 @@
-"""Sequence database loading, frequency filtering and last-position tables.
+"""Sequence database loading, frequency filtering and last-position index.
 
 A database is an immutable collection of symbol sequences.  Symbols are
 remapped to contiguous ids 1..N in order of first appearance (0 is reserved
-as the pattern terminator), sequence ids are 1-based, and positions inside
-the precomputed last-position tables are 1-based with 0 meaning "absent".
-Symbols whose sequence support falls below the mining threshold are removed
-at load time; sequences emptied by that removal are dropped.
+as the pattern terminator), sequence ids are 1-based, and positions in the
+precomputed last-position lists and index are 1-based.  Both hold one entry
+per (sequence, distinct symbol) pair, so their size is that of the data,
+not sequences x alphabet.  Symbols whose sequence support falls below the
+mining threshold are removed at load time; sequences emptied by that
+removal are dropped.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, TextIO
 
 __all__ = [
@@ -35,42 +38,43 @@ class EmptyDatabaseError(Exception):
     """No sequence survived frequency filtering."""
 
 
-def compute_last_positions(
-    seq: Sequence[int], symbol_count: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Last occurrence of each symbol of `seq`, as pairs and as a map.
+def compute_last_positions(seq: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Last occurrence of each symbol of `seq` as (symbol, position) pairs.
 
-    Returns ``(pairs, pos_map)`` where `pairs` lists (symbol, position)
-    ordered by strictly decreasing position and `pos_map[a]` is the last
-    position of symbol `a` (0 when absent).  Positions are 1-based.
+    Pairs are ordered by strictly decreasing position; positions are 1-based.
     """
-    pos_map = [0] * (symbol_count + 1)
+    seen = set()
     pairs = []
     for idx in range(len(seq) - 1, -1, -1):
         a = seq[idx]
-        if pos_map[a] == 0:
-            pos_map[a] = idx + 1
+        if a not in seen:
+            seen.add(a)
             pairs.append((a, idx + 1))
-    return tuple(pairs), tuple(pos_map)
+    return tuple(pairs)
 
 
 @dataclass(frozen=True, eq=True)
 class SequenceDatabase:
-    """Filtered, remapped sequence data plus per-sequence position tables.
+    """Filtered, remapped sequence data plus last-position lists and index.
 
     ``seqs[sid]`` is the sequence with 1-based id `sid` (index 0 holds an
     empty placeholder).  ``names[a]`` is the original token for symbol id
-    `a`.  ``input_sequences`` is the sequence count before filtering and
-    ``dropped`` holds the input tokens that filtering removed; neither takes
-    part in equality.
+    `a`.  ``last_pos_list[sid]`` holds the pairs of
+    `compute_last_positions` and ``last_pos_index[a]`` maps each sid whose
+    sequence contains `a` to the last position of `a` in it.  The index is
+    derived from `seqs`, ``input_sequences`` is the sequence count before
+    filtering and ``dropped`` holds the input tokens that filtering removed;
+    none of them takes part in equality.
     """
 
     seqs: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
     last_pos_list: tuple[tuple[tuple[int, int], ...], ...]
-    last_pos_map: tuple[tuple[int, ...], ...]
     max_len: int
     symbol_supports: tuple[int, ...]
+    last_pos_index: tuple[dict[int, int], ...] = field(
+        compare=False, repr=False, default=()
+    )
     input_sequences: int = field(compare=False, default=0)
     id_of: dict = field(compare=False, repr=False, default_factory=dict)
     dropped: frozenset = field(compare=False, repr=False, default=frozenset())
@@ -87,6 +91,11 @@ class SequenceDatabase:
     @property
     def sids(self) -> range:
         return range(1, len(self.seqs))
+
+    @cached_property
+    def lengths_desc(self) -> tuple[int, ...]:
+        """Sequence lengths, longest first (sorted once, on first use)."""
+        return tuple(sorted(map(len, self.seqs[1:]), reverse=True))
 
     def support(self, pattern: Sequence[int]) -> int:
         """Number of sequences containing `pattern` as a subsequence."""
@@ -193,22 +202,20 @@ def build_database(token_seqs: Sequence[Sequence[str]], min_sup: int = 1) -> Seq
         raise EmptyDatabaseError(
             f"no sequence left after filtering at support {min_sup}"
         )
-    symbol_count = len(names) - 1
-    pair_rows: list[tuple[tuple[int, int], ...]] = [()]
-    map_rows: list[tuple[int, ...]] = [(0,) * (symbol_count + 1)]
-    for seq in seqs[1:]:
-        pairs, pos_map = compute_last_positions(seq, symbol_count)
-        pair_rows.append(pairs)
-        map_rows.append(pos_map)
+    pair_rows = [compute_last_positions(seq) for seq in seqs]
+    index: list[dict[int, int]] = [{} for _ in names]
+    for sid in range(1, len(seqs)):
+        for a, p in pair_rows[sid]:
+            index[a][sid] = p
     return SequenceDatabase(
         seqs=tuple(seqs),
         names=tuple(names),
         last_pos_list=tuple(pair_rows),
-        last_pos_map=tuple(map_rows),
         max_len=max(len(s) for s in seqs[1:]),
         # no sequence holding a surviving token is emptied, so it keeps its
         # input support
         symbol_supports=(0, *(support[tok] for tok in names[1:])),
+        last_pos_index=tuple(index),
         input_sequences=len(token_seqs),
         id_of=id_of,
         dropped=frozenset(support).difference(id_of),

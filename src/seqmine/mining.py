@@ -1,9 +1,10 @@
 """End-to-end mining driver: model construction, search, pattern collection.
 
-The model has one variable per pattern position up to the longest sequence,
-or up to the length maximum when that is smaller, each ranging over the
-symbol ids plus the 0 terminator (the first position may not be 0, so
-every mined pattern is non-empty).  Registered propagators run in a fixed
+The model has one variable per pattern position up to the length of the
+`min_sup`-th longest sequence (no longer pattern can be frequent), or up to
+the length maximum when that is smaller, each ranging over the symbol ids
+plus the 0 terminator (the first position may not be 0, so every mined
+pattern is non-empty).  Registered propagators run in a fixed
 order: regex, length, cardinality, then projected frequency.  Patterns are
 reported with their exact support, in depth-first branching order.
 """
@@ -85,7 +86,9 @@ def build_model(
     """Create variables and propagators for mining `db` under `config`."""
     trail = Trail()
     n = db.symbol_count
-    length = db.max_len
+    # a pattern occurs only in sequences at least as long as it; past the
+    # sequence count nothing is frequent, and one variable finds that out
+    length = db.lengths_desc[config.min_sup - 1] if config.min_sup <= db.size else 1
     if config.length is not None:
         length = min(length, config.length.max_len)
     variables = [FDVariable(trail, range(1, n + 1))]

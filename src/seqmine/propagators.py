@@ -6,8 +6,8 @@ needs no work, otherwise the projection window is extended by the new
 symbol, the search fails when the window support drops below the
 threshold, and infrequent symbols are filtered from the next variable only.
 
-The window lives in two growable arrays of (sequence id, suffix start)
-entries shared by the whole search.  A child window is appended after its
+The window lives in two arrays of (sequence id, suffix start) entries
+shared by the whole search.  A child window is appended right after its
 parent, never overwriting live entries, so the only reversible state is the
 pair of integers delimiting the live block; suffix starts are 0-based
 indexes of the first element after the matched prefix.
@@ -15,10 +15,10 @@ indexes of the first element after the matched prefix.
 Four interchangeable projection strategies are provided:
 
 * ``baseline``  - scans every suffix in full to project and count,
-* ``ppic``      - skips exhausted sequences via the last-position map and
-                  counts by walking the last-position list,
-* ``ppdc``      - keeps reversible per-symbol counters updated by
-                  decrements while scanning,
+* ``ppic``      - skips exhausted sequences via the last-position index
+                  and counts by walking the last-position list,
+* ``ppdc``      - keeps reversible per-symbol counters, decremented by a
+                  walk of the last-position list,
 * ``ppmixed``   - picks between the two preceding strategies per node,
                   depending on how much of the window will survive.
 
@@ -50,8 +50,9 @@ class PseudoProjection:
 
     The live window is ``sids[start:start+size]`` with parallel suffix
     starts in `poss`.  Initially it covers every sequence with position 0.
-    Arrays only ever grow; entries at or beyond ``start + size`` are scratch
-    space for the next child window.
+    Entries at or beyond ``start + size`` are dead (left by backtracked
+    children): a projection truncates the arrays there and appends the
+    child window.
     """
 
     def __init__(self, trail: Trail, db: SequenceDatabase) -> None:
@@ -191,21 +192,20 @@ class ProjectionPropagator(Propagator):
         """
         db = self.db
         seqs = db.seqs
-        last_map = db.last_pos_map
+        last = db.last_pos_index[a]
         last_list = db.last_pos_list
         proj = self.projection
         sids = proj.sids
         poss = proj.poss
         lo = proj.start.value
         hi = lo + proj.size.value
+        del sids[hi:], poss[hi:]
         counts = [0] * (db.symbol_count + 1)
         visited = 0
-        j = hi
-        cap = len(sids)
         for k in range(lo, hi):
             sid = sids[k]
             pos = poss[k]
-            if last_map[sid][a] - 1 < pos:
+            if sid not in last or last[sid] <= pos:
                 continue
             seq = seqs[sid]
             scan_from = pos
@@ -213,20 +213,14 @@ class ProjectionPropagator(Propagator):
                 pos += 1
             visited += pos - scan_from + 1
             pos += 1
-            if j < cap:
-                sids[j] = sid
-                poss[j] = pos
-            else:
-                sids.append(sid)
-                poss.append(pos)
-                cap += 1
-            j += 1
+            sids.append(sid)
+            poss.append(pos)
             for sym, p in last_list[sid]:
                 if p <= pos:
                     break
                 counts[sym] += 1
         self.positions_visited += visited
-        sup = j - hi
+        sup = len(sids) - hi
         proj.start.set(hi)
         proj.size.set(sup)
         return sup, counts
@@ -254,9 +248,8 @@ class FullScanProjection(ProjectionPropagator):
         poss = proj.poss
         lo = proj.start.value
         hi = lo + proj.size.value
+        del sids[hi:], poss[hi:]
         visited = 0
-        j = hi
-        cap = len(sids)
         for k in range(lo, hi):
             sid = sids[k]
             pos = poss[k]
@@ -267,18 +260,11 @@ class FullScanProjection(ProjectionPropagator):
                 pos += 1
             if pos < n:
                 visited += pos - scan_from + 1
-                pos += 1
-                if j < cap:
-                    sids[j] = sid
-                    poss[j] = pos
-                else:
-                    sids.append(sid)
-                    poss.append(pos)
-                    cap += 1
-                j += 1
+                sids.append(sid)
+                poss.append(pos + 1)
             else:
                 visited += n - scan_from
-        sup = j - hi
+        sup = len(sids) - hi
         proj.start.set(hi)
         proj.size.set(sup)
         if sup < self.min_sup:
@@ -286,7 +272,7 @@ class FullScanProjection(ProjectionPropagator):
             return False
         counts = [0] * (db.symbol_count + 1)
         seen = self._seen
-        for k in range(hi, j):
+        for k in range(hi, len(sids)):
             seq = seqs[sids[k]]
             start = poss[k]
             self._seen_token += 1
@@ -317,11 +303,11 @@ class DecrementProjection(ProjectionPropagator):
     """Projection maintaining reversible per-symbol counters by decrements.
 
     The counters start at the whole-database symbol supports and always
-    reflect the live window.  While scanning for the next match, passing a
-    position that is some symbol's last occurrence decrements that symbol;
-    a sequence dropped from the window decrements every symbol whose last
-    occurrence lies inside its lost suffix.  Backtracking restores the
-    counters through the trail.
+    reflect the live window.  Projecting an entry loses the part of its
+    suffix up to and including the match, or the whole suffix when the
+    sequence is dropped; one walk of the sequence's last-position list
+    decrements every symbol whose last occurrence lies in that lost part.
+    Backtracking restores the counters through the trail.
     """
 
     def __init__(self, db, variables, min_sup, trail, self_check=False):
@@ -341,7 +327,7 @@ class DecrementProjection(ProjectionPropagator):
     def _scan_decrement(self, a: int) -> int:
         db = self.db
         seqs = db.seqs
-        last_map = db.last_pos_map
+        last = db.last_pos_index[a]
         last_list = db.last_pos_list
         counts = self._counts
         proj = self.projection
@@ -349,43 +335,32 @@ class DecrementProjection(ProjectionPropagator):
         poss = proj.poss
         lo = proj.start.value
         hi = lo + proj.size.value
+        del sids[hi:], poss[hi:]
         visited = 0
-        j = hi
-        cap = len(sids)
         for k in range(lo, hi):
             sid = sids[k]
             pos = poss[k]
-            row = last_map[sid]
-            if row[a] - 1 < pos:
-                # dropped: its whole suffix leaves the window
-                for sym, p in last_list[sid]:
-                    if p - 1 < pos:
-                        break
-                    c = counts[sym]
-                    c.set(c.value - 1)
-                continue
             seq = seqs[sid]
-            scan_from = pos
-            while True:
-                sym = seq[pos]
-                if row[sym] == pos + 1:
+            if sid not in last or last[sid] <= pos:
+                new = len(seq)  # dropped: its whole suffix leaves the window
+            else:
+                new = pos
+                while seq[new] != a:
+                    new += 1
+                new += 1
+                visited += new - pos
+                sids.append(sid)
+                poss.append(new)
+            # symbols last occurring in the lost indexes [pos, new), i.e.
+            # at 1-based positions pos < p <= new
+            for sym, p in last_list[sid]:
+                if p <= pos:
+                    break
+                if p <= new:
                     c = counts[sym]
                     c.set(c.value - 1)
-                if sym == a:
-                    break
-                pos += 1
-            visited += pos - scan_from + 1
-            pos += 1
-            if j < cap:
-                sids[j] = sid
-                poss[j] = pos
-            else:
-                sids.append(sid)
-                poss.append(pos)
-                cap += 1
-            j += 1
         self.positions_visited += visited
-        sup = j - hi
+        sup = len(sids) - hi
         proj.start.set(hi)
         proj.size.set(sup)
         return sup

@@ -54,18 +54,22 @@ def test_c1_last_position_tables_exact_and_fast():
     with verdict(1, "last-position tables match the worked example, under 1ms"):
         db = loads(SDB1_TEXT, min_sup=1)
         assert db.last_pos_list[1] == ((3, 5), (2, 4), (1, 1))
-        assert db.last_pos_map[1] == (0, 1, 4, 5, 0)
         assert db.last_pos_list[2] == ((3, 4), (2, 3), (1, 2))
-        assert db.last_pos_map[2] == (0, 2, 3, 4, 0)
         assert db.last_pos_list[3] == ((2, 2), (1, 1))
-        assert db.last_pos_map[3] == (0, 1, 2, 0, 0)
         assert db.last_pos_list[4] == ((4, 3), (3, 2), (2, 1))
-        assert db.last_pos_map[4] == (0, 0, 1, 2, 3)
+        # per symbol: {sid: last position}, absent sequences left out
+        assert db.last_pos_index == (
+            {},
+            {1: 1, 2: 2, 3: 1},
+            {1: 4, 2: 3, 3: 2, 4: 1},
+            {1: 5, 2: 4, 4: 2},
+            {4: 3},
+        )
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
             for sid in db.sids:
-                compute_last_positions(db.seqs[sid], db.symbol_count)
+                compute_last_positions(db.seqs[sid])
             best = min(best, time.perf_counter() - start)
         assert best < 0.001
 

@@ -11,6 +11,7 @@ from seqmine import (
     LengthBounds,
     MiningConfig,
     OracleConfig,
+    PROPAGATORS,
     SymbolCardinality,
     build_database,
     build_model,
@@ -89,6 +90,29 @@ def test_length_propagator_shapes_domains(sdb1_theta2):
     # the maximum is the model size: <A B> fills the last slot and is emitted
     assert len(model.variables) == 2
     assert ((1, 2), 3) in mine(sdb1_theta2, config).patterns
+
+
+# ----------------------------------------------------------------- model size
+
+
+def test_model_size_is_the_min_sup_th_longest_sequence():
+    # one 40-token sequence cannot support a pattern alone: at min_sup 2 the
+    # second-longest sequence, 3 tokens, bounds the pattern length
+    long_seq = ["a", "b", "c"] * 13 + ["a"]
+    db = build_database([long_seq, ["a", "b", "c"], ["c", "b", "a"]], min_sup=2)
+    assert db.max_len == 40
+    assert len(build_model(db, MiningConfig(min_sup=2)).variables) == 3
+    expected = mine_brute_force(db, OracleConfig(min_sup=2))
+    assert max(len(p) for p, _ in expected) == 3
+    for variant in PROPAGATORS:
+        assert engine_patterns(db, 2, variant) == expected
+
+
+def test_threshold_above_the_sequence_count_mines_nothing(sdb1):
+    config = MiningConfig(min_sup=sdb1.size + 1)
+    assert len(build_model(sdb1, config).variables) == 1
+    for variant in PROPAGATORS:
+        assert engine_patterns(sdb1, sdb1.size + 1, variant) == []
 
 
 # ---------------------------------------------------------------- cardinality

@@ -24,34 +24,55 @@ from conftest import SDB1_TEXT
 # ------------------------------------------------------- last-position tables
 
 
+def last_positions(db, sid):
+    """{symbol: last position} of sequence `sid`, read from the index."""
+    return {a: idx[sid] for a, idx in enumerate(db.last_pos_index) if sid in idx}
+
+
 def test_last_positions_sid1(sdb1):
     # <A B C B C>: C last at 5, B at 4, A at 1
     assert sdb1.last_pos_list[1] == ((3, 5), (2, 4), (1, 1))
-    assert sdb1.last_pos_map[1] == (0, 1, 4, 5, 0)
+    assert last_positions(sdb1, 1) == {1: 1, 2: 4, 3: 5}
 
 
 def test_last_positions_sid2(sdb1):
     # <B A B C>
     assert sdb1.last_pos_list[2] == ((3, 4), (2, 3), (1, 2))
-    assert sdb1.last_pos_map[2] == (0, 2, 3, 4, 0)
+    assert last_positions(sdb1, 2) == {1: 2, 2: 3, 3: 4}
 
 
 def test_last_positions_sid3(sdb1):
     # <A B>
     assert sdb1.last_pos_list[3] == ((2, 2), (1, 1))
-    assert sdb1.last_pos_map[3] == (0, 1, 2, 0, 0)
+    assert last_positions(sdb1, 3) == {1: 1, 2: 2}
 
 
 def test_last_positions_sid4(sdb1):
     # <B C D>: D only occurs here
     assert sdb1.last_pos_list[4] == ((4, 3), (3, 2), (2, 1))
-    assert sdb1.last_pos_map[4] == (0, 0, 1, 2, 3)
+    assert last_positions(sdb1, 4) == {2: 1, 3: 2, 4: 3}
+    assert sdb1.last_pos_index[4] == {4: 3}
 
 
 def test_compute_last_positions_empty():
-    pairs, pos_map = compute_last_positions((), 3)
-    assert pairs == ()
-    assert pos_map == (0, 0, 0, 0)
+    assert compute_last_positions(()) == ()
+
+
+def test_index_holds_one_entry_per_sequence_symbol_pair():
+    # 1000 distinct tokens, one per sequence: a dense sequences x alphabet
+    # table would hold 1000 x 1001 cells
+    db = build_database([[f"t{i}"] for i in range(1000)])
+    assert db.symbol_count == 1000
+    entries = sum(len(idx) for idx in db.last_pos_index)
+    assert entries == sum(len(pairs) for pairs in db.last_pos_list) == 1000
+
+
+def test_database_is_hashable_and_compares_by_content():
+    db, again = loads(SDB1_TEXT), loads(SDB1_TEXT)
+    assert db == again
+    assert hash(db) == hash(again)
+    assert len({db, again}) == 1
+    assert db != loads(SDB1_TEXT + "A\n")
 
 
 def test_pairs_ordered_by_strictly_decreasing_position(sdb1):
@@ -218,14 +239,14 @@ def test_last_position_tables_match_naive_scan(raw):
     db = build_database(raw, min_sup=1)
     for sid in db.sids:
         seq = db.seqs[sid]
-        pos_map = db.last_pos_map[sid]
         for a in range(1, db.symbol_count + 1):
             expect = max((i + 1 for i, b in enumerate(seq) if b == a), default=0)
-            assert pos_map[a] == expect
+            assert db.last_pos_index[a].get(sid, 0) == expect
         pairs = db.last_pos_list[sid]
-        assert set(pairs) == {(a, p) for a, p in enumerate(pos_map) if p and a}
+        assert set(pairs) == set(last_positions(db, sid).items())
         positions = [p for _, p in pairs]
         assert positions == sorted(positions, reverse=True)
+    assert db.last_pos_index[0] == {}
 
 
 @settings(max_examples=50, deadline=None)
