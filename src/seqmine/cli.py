@@ -7,7 +7,8 @@ trailing ``# TIMEOUT`` line.  ``bench`` emits a CSV table comparing
 propagators across thresholds and fails when their solution counts
 disagree.  ``gen`` writes a reproducible random dataset.  Exit codes:
 0 success (including zero patterns), 1 ``bench`` strategies disagree,
-2 bad flags, 3 dataset errors, 4 timeout.
+2 bad flags (including a negative or NaN ``--timeout``), 3 dataset errors
+(unreadable, not UTF-8 or malformed), 4 timeout.
 """
 
 from __future__ import annotations
@@ -142,11 +143,22 @@ def _run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stats", action="store_true", help="append run counters")
     p.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout,
         default=3600.0,
         metavar="SECONDS",
         help="abort the search after this long (default 3600)",
     )
+
+
+def _timeout(text: str) -> float:
+    """A non-negative number of seconds (argparse ``type``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value >= 0.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
+    return value
 
 
 def _parse_minsup(text: str) -> int | float:
@@ -170,7 +182,7 @@ def _read_raw(path: str, fmt: str) -> list[list[str]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = parse_plain(handle) if fmt == "plain" else parse_spmf(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}")
     if not raw:
         raise DatasetError(f"{path}: input contains no sequences")
@@ -239,6 +251,7 @@ def _emit_stats(out: TextIO, stats: RunStats) -> None:
     out.write(f"# search_nodes={stats.search_nodes}\n")
     out.write(f"# failures={stats.failures}\n")
     out.write(f"# positions_visited={stats.positions_visited}\n")
+    out.write(f"# entries_examined={stats.entries_examined}\n")
     out.write(f"# wall_time_ms={stats.wall_time_ms:.1f}\n")
     out.write(f"# peak_projection_depth={stats.peak_projection_depth}\n")
 

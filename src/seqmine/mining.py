@@ -52,14 +52,17 @@ class RunStats:
     """Counters describing one search run.
 
     `positions_visited` counts sequence elements read by the projection
-    scans; `peak_projection_depth` is the longest prefix whose window was
-    materialized.  Always: failures + solution_count <= search_nodes.
+    scans; `entries_examined` counts the window or last-position index
+    entries those scans walked; `peak_projection_depth` is the longest
+    prefix whose window was materialized.  Always: failures +
+    solution_count <= search_nodes.
     """
 
     solution_count: int = 0
     search_nodes: int = 0
     failures: int = 0
     positions_visited: int = 0
+    entries_examined: int = 0
     wall_time_ms: float = 0.0
     peak_projection_depth: int = 0
 
@@ -144,6 +147,7 @@ def mine(
         search_nodes=engine.nodes,
         failures=engine.failures,
         positions_visited=frequency.positions_visited,
+        entries_examined=frequency.entries_examined,
         wall_time_ms=elapsed,
         peak_projection_depth=frequency.peak_depth,
     )

@@ -10,24 +10,30 @@ The window lives in two arrays of (sequence id, suffix start) entries
 shared by the whole search.  A child window is appended right after its
 parent, never overwriting live entries, so the only reversible state is the
 pair of integers delimiting the live block; suffix starts are 0-based
-indexes of the first element after the matched prefix.
+indexes of the first element after the matched prefix.  Windows and the
+last-position index are both in ascending sequence-id order, so a
+projection may walk either one and build the same child window.
 
 Four interchangeable projection strategies are provided:
 
 * ``baseline``  - scans every suffix in full to project and count,
-* ``ppic``      - skips exhausted sequences via the last-position index
-                  and counts by walking the last-position list,
+* ``ppic``      - skips exhausted sequences via the last-position index,
+                  walking the symbol's index instead of the window when it
+                  is the shorter, and counts by walking the last-position
+                  list,
 * ``ppdc``      - keeps reversible per-symbol counters, decremented by a
                   walk of the last-position list,
 * ``ppmixed``   - picks between the two preceding strategies per node,
                   depending on how much of the window will survive.
 
 All four produce identical windows, frequencies and search trees; they
-differ only in how much work they do to get there.
+differ only in how much work they do to get there: sequence positions read
+and window or index entries examined.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 from .database import SequenceDatabase
@@ -49,10 +55,18 @@ class PseudoProjection:
     """Stacked projection windows over growable sid/position arrays.
 
     The live window is ``sids[start:start+size]`` with parallel suffix
-    starts in `poss`.  Initially it covers every sequence with position 0.
-    Entries at or beyond ``start + size`` are dead (left by backtracked
-    children): a projection truncates the arrays there and appends the
-    child window.
+    starts in `poss`, in ascending sid order.  Initially it covers every
+    sequence with position 0.  Entries at or beyond ``start + size`` are
+    dead (left by backtracked children): `open_child` truncates the arrays
+    there, the scan appends the child window, and `close_child` makes it
+    the live one.
+
+    `window_map` gives a window's ``{sid: suffix start}`` map, built on
+    first use and shared by the window's children.  The maps form a stack
+    of ``(window start, map)`` pairs, one per live window at most.  A map is
+    known by its window's start alone, which is sound because `open_child`
+    drops every map at or past the position the child opens at: a window
+    created there may be a sibling with the same start, even the same size.
     """
 
     def __init__(self, trail: Trail, db: SequenceDatabase) -> None:
@@ -61,6 +75,36 @@ class PseudoProjection:
         self.poss: list[int] = [0] * m
         self.start = ReversibleInt(trail, 0)
         self.size = ReversibleInt(trail, m)
+        self._maps: list[tuple[int, dict[int, int]]] = []
+
+    def open_child(self) -> tuple[int, int]:
+        """Bounds ``lo, hi`` of the live window; the child is appended at hi.
+
+        Drops the dead entries and the maps of windows at or past hi.
+        """
+        lo = self.start.value
+        hi = lo + self.size.value
+        del self.sids[hi:], self.poss[hi:]
+        maps = self._maps
+        while maps and maps[-1][0] >= hi:
+            maps.pop()
+        return lo, hi
+
+    def close_child(self, hi: int) -> int:
+        """Make the entries appended past `hi` the live window; its size."""
+        sup = len(self.sids) - hi
+        self.start.set(hi)
+        self.size.set(sup)
+        return sup
+
+    def window_map(self, lo: int, hi: int) -> dict[int, int]:
+        """``{sid: suffix start}`` of the window ``sids[lo:hi]``."""
+        maps = self._maps
+        if maps and maps[-1][0] == lo:
+            return maps[-1][1]
+        where = dict(zip(self.sids[lo:hi], self.poss[lo:hi]))
+        maps.append((lo, where))
+        return where
 
     def window(self) -> list[tuple[int, int]]:
         """Live window as (sid, suffix start) pairs."""
@@ -96,11 +140,14 @@ class ProjectionPropagator(Propagator):
     `depth` in order, so variables bound by other constraints (singleton
     domains) are picked up at the next search node.  After extending, the
     frequencies of the newest window filter the domain of the next unbound
-    variable; earlier variables are never touched.
+    variable; earlier variables are never touched.  At the root (depth -1)
+    the database supports filter the first variable.
 
     `positions_visited` counts sequence elements read while scanning
     (matching and, for the baseline, counting); reads of the precomputed
     last-position tables are not sequence reads and are not counted.
+    `entries_examined` counts the entries the projection scans walked:
+    the parent window's, or the last-position index's on its index side.
     """
 
     def __init__(
@@ -120,6 +167,7 @@ class ProjectionPropagator(Propagator):
         self.projection = PseudoProjection(trail, db)
         self.prefix_len = ReversibleInt(trail, 0)
         self.positions_visited = 0
+        self.entries_examined = 0
         self.peak_depth = 0
         self.self_check = self_check
         self._scratch: list[int] = list(db.symbol_supports)
@@ -146,6 +194,11 @@ class ProjectionPropagator(Propagator):
     # -- propagation ------------------------------------------------------
 
     def propagate(self, depth: int) -> bool:
+        if depth < 0:
+            # the root window is the database: filter the first variable by
+            # the symbol supports (the scratch may hold a past search's counts)
+            self._scratch = list(self.db.symbol_supports)
+            return self._filter(0)
         variables = self.vars
         start = f = self.prefix_len.value
         while f <= depth:
@@ -184,11 +237,16 @@ class ProjectionPropagator(Propagator):
     def _scan_lastpos(self, a: int) -> tuple[int, list[int]]:
         """Last-position-guided projection pass.
 
-        Builds the child window and a fresh per-symbol count in one sweep:
-        sequences whose last occurrence of `a` lies before the cursor are
-        dropped without touching the sequence, matches are found by a plain
-        scan, and counting walks the (position-descending) last-position
-        list only while entries fall inside the new suffix.
+        Builds the child window and a fresh per-symbol count in one sweep
+        over the smaller of two sid-ascending lists: the live window, or the
+        index of `a` (its sequences and last positions) joined with the
+        window's map.  Sequences whose last occurrence of `a` lies at or
+        before the cursor are dropped without touching the sequence: window
+        sids without `a` read that position as 0, and index sids absent from
+        the window read their cursor as `max_len`, past every position, so
+        one test drops both.  Matches are found by a plain scan,
+        and counting walks the (position-descending) last-position list
+        only while entries fall inside the new suffix.
         """
         db = self.db
         seqs = db.seqs
@@ -197,15 +255,20 @@ class ProjectionPropagator(Propagator):
         proj = self.projection
         sids = proj.sids
         poss = proj.poss
-        lo = proj.start.value
-        hi = lo + proj.size.value
-        del sids[hi:], poss[hi:]
+        lo, hi = proj.open_child()
+        if len(last) < hi - lo:
+            where = proj.window_map(lo, hi)
+            cursors = map(where.get, last, repeat(db.max_len))
+            entries = zip(last, cursors, last.values())
+            self.entries_examined += len(last)
+        else:
+            window = sids[lo:hi]
+            entries = zip(window, poss[lo:hi], map(last.get, window, repeat(0)))
+            self.entries_examined += hi - lo
         counts = [0] * (db.symbol_count + 1)
         visited = 0
-        for k in range(lo, hi):
-            sid = sids[k]
-            pos = poss[k]
-            if sid not in last or last[sid] <= pos:
+        for sid, pos, last_at in entries:
+            if last_at <= pos:
                 continue
             seq = seqs[sid]
             scan_from = pos
@@ -220,10 +283,7 @@ class ProjectionPropagator(Propagator):
                     break
                 counts[sym] += 1
         self.positions_visited += visited
-        sup = len(sids) - hi
-        proj.start.set(hi)
-        proj.size.set(sup)
-        return sup, counts
+        return proj.close_child(hi), counts
 
 
 class FullScanProjection(ProjectionPropagator):
@@ -246,9 +306,8 @@ class FullScanProjection(ProjectionPropagator):
         proj = self.projection
         sids = proj.sids
         poss = proj.poss
-        lo = proj.start.value
-        hi = lo + proj.size.value
-        del sids[hi:], poss[hi:]
+        lo, hi = proj.open_child()
+        self.entries_examined += hi - lo
         visited = 0
         for k in range(lo, hi):
             sid = sids[k]
@@ -264,9 +323,7 @@ class FullScanProjection(ProjectionPropagator):
                 poss.append(pos + 1)
             else:
                 visited += n - scan_from
-        sup = len(sids) - hi
-        proj.start.set(hi)
-        proj.size.set(sup)
+        sup = proj.close_child(hi)
         if sup < self.min_sup:
             self.positions_visited += visited
             return False
@@ -333,9 +390,8 @@ class DecrementProjection(ProjectionPropagator):
         proj = self.projection
         sids = proj.sids
         poss = proj.poss
-        lo = proj.start.value
-        hi = lo + proj.size.value
-        del sids[hi:], poss[hi:]
+        lo, hi = proj.open_child()
+        self.entries_examined += hi - lo
         visited = 0
         for k in range(lo, hi):
             sid = sids[k]
@@ -360,10 +416,7 @@ class DecrementProjection(ProjectionPropagator):
                     c = counts[sym]
                     c.set(c.value - 1)
         self.positions_visited += visited
-        sup = len(sids) - hi
-        proj.start.set(hi)
-        proj.size.set(sup)
-        return sup
+        return proj.close_child(hi)
 
 
 class AdaptiveProjection(DecrementProjection):

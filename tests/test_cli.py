@@ -74,6 +74,7 @@ def test_mine_stats_block(capsys, data):
     assert stats["solution_count"] == "9"
     assert int(stats["failures"]) + 9 <= int(stats["search_nodes"])
     assert int(stats["positions_visited"]) > 0
+    assert int(stats["entries_examined"]) > 0
     assert float(stats["wall_time_ms"]) >= 0.0
     assert stats["peak_projection_depth"] == "3"
 
@@ -179,6 +180,15 @@ def test_malformed_spmf_is_a_data_error(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_invalid_utf8_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"A B\n\xff\xfe C\n")
+    code, _, err = run(capsys, "mine", str(path), "--minsup", "1")
+    assert code == 3
+    assert "seqmine: cannot read" in err
+    assert "Traceback" not in err
+
+
 def test_empty_file_is_a_data_error(capsys, tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("\n\n")
@@ -190,6 +200,14 @@ def test_empty_file_is_a_data_error(capsys, tmp_path):
 def test_bad_minsup_is_a_usage_error(capsys, data, bad):
     code, _, err = run(capsys, "mine", data, "--minsup", bad)
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["-1", "nan"])
+def test_bad_timeout_is_a_usage_error(capsys, data, bad):
+    code, out, err = run(capsys, "mine", data, "--minsup", "1", "--timeout", bad)
+    assert code == 2
+    assert "--timeout" in err
+    assert out == ""
 
 
 def test_min_size_above_max_size_is_a_usage_error(capsys, data):

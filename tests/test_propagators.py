@@ -10,9 +10,11 @@ import pytest
 from seqmine import (
     EmptyDatabaseError,
     MiningConfig,
+    OracleConfig,
     build_database,
     build_model,
     mine,
+    mine_brute_force,
 )
 from seqmine.kernel import Propagator, SearchEngine
 from seqmine.propagators import projected_symbol_counts
@@ -121,6 +123,92 @@ def test_projected_symbol_counts_recount(sdb1):
     assert projected_symbol_counts(sdb1, []) == [0, 0, 0, 0, 0]
     window = [(sid, 0) for sid in sdb1.sids]
     assert projected_symbol_counts(sdb1, window) == [0, 3, 4, 3, 1]
+
+
+# ------------------------------------------------------ index-side projection
+
+
+def test_rare_symbol_projects_from_its_index():
+    # X is in 3 of 1000 sequences: the root window has 1000 entries, the
+    # index of X has 3, and the regex makes <X> the only extension
+    raw = [["A", "X", "B"] if i % 400 == 7 else ["A", "B"] for i in range(1000)]
+    db = build_database(raw, 1)
+    assert len(db.last_pos_index[db.id_of["X"]]) == 3
+    examined = {"baseline": 1000, "ppic": 3, "ppdc": 1000, "ppmixed": 3}
+    for variant, entries in examined.items():
+        result = mine(db, MiningConfig(min_sup=1, propagator=variant, regex="X"))
+        assert result.patterns == [((db.id_of["X"],), 3)], variant
+        assert result.stats.entries_examined == entries, variant
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_index_side_child_window_equals_naive_projection(variant):
+    raw = [
+        ["A", "B"],
+        ["X", "A", "B"],  # its only X lies before the <A> cursor
+        ["A", "X"],
+        ["B", "X"],  # holds X but is absent from the <A> window
+        ["A", "B", "X", "A", "X"],
+    ] + [["B", "A", "B"]] * 6
+    db = build_database(raw, 1)
+    a, x = db.id_of["A"], db.id_of["X"]
+    model = drive(db, variant, [a])
+    freq = model.frequency
+    assert freq.projection.size.value == 10
+    assert len(db.last_pos_index[x]) == 4  # fewer than the 10 window entries
+    before = freq.entries_examined
+    model.trail.push_level()
+    assert model.variables[1].assign(x)
+    assert freq.propagate(1)
+    assert freq.projection.window() == naive_window(db, [a, x]) == [(3, 2), (5, 3)]
+    index_side = variant in ("ppic", "ppmixed")
+    assert freq.entries_examined - before == (4 if index_side else 10)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_sibling_windows_with_equal_start_and_size_do_not_share_a_map(variant):
+    # <A> and <B> both hold all ten sequences, so both windows open at the
+    # same start with the same size; only the suffix starts differ
+    raw = [["A", "B"], ["A", "X", "B"], ["B", "X", "A"]] + [["A", "B"]] * 7
+    db = build_database(raw, 1)
+    a, b, x = db.id_of["A"], db.id_of["B"], db.id_of["X"]
+    model = build_model(db, MiningConfig(min_sup=1, propagator=variant))
+    freq, trail = model.frequency, model.trail
+    trail.push_level()
+    windows = []
+    for first in (a, b):
+        trail.push_level()
+        assert model.variables[0].assign(first)
+        assert freq.propagate(0)
+        windows.append((freq.projection.start.value, freq.projection.size.value))
+        trail.push_level()
+        assert model.variables[1].assign(x)
+        assert freq.propagate(1)
+        assert freq.projection.window() == naive_window(db, [first, x])
+        trail.restore_level()
+        trail.restore_level()
+    assert windows == [(10, 10), (10, 10)]
+    config = MiningConfig(min_sup=1, propagator=variant)
+    assert sorted(mine(db, config).patterns) == mine_brute_force(
+        db, OracleConfig(min_sup=1)
+    )
+
+
+# ------------------------------------------------------------ root filtering
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_root_is_filtered_by_the_database_supports(sdb1, variant):
+    # loaded at threshold 1: D (support 1) is in the root domain
+    config = MiningConfig(min_sup=3, propagator=variant)
+    result = mine(sdb1, config)
+    assert result.stats.failures == 0
+    assert sorted(result.patterns) == mine_brute_force(sdb1, OracleConfig(min_sup=3))
+    # no root symbol reaches 5: the search has no node at all
+    empty = mine(sdb1, MiningConfig(min_sup=5, propagator=variant))
+    assert empty.patterns == []
+    assert empty.stats.search_nodes == 0
+    assert empty.stats.positions_visited == 0
 
 
 # --------------------------------------------------------- decrement counters
