@@ -7,14 +7,16 @@ trailing ``# TIMEOUT`` line.  ``bench`` emits a CSV table comparing
 propagators across thresholds and fails when their solution counts
 disagree.  ``gen`` writes a reproducible random dataset.  Exit codes:
 0 success (including zero patterns), 1 ``bench`` strategies disagree,
-2 bad flags (including a negative or NaN ``--timeout``), 3 dataset errors
-(unreadable, not UTF-8 or malformed), 4 timeout.
+2 bad flags (including a negative or NaN ``--timeout``), 3 dataset or
+output errors (input unreadable, not UTF-8 or malformed; output that
+cannot be opened or written, including a closed pipe), 4 timeout.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from contextlib import ExitStack
@@ -409,7 +411,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "oracle": _run_oracle,
     }[args.command]
     try:
-        return runner(args)
+        code = runner(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"seqmine: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -418,6 +422,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except DatasetError as exc:
         print(f"seqmine: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        # input read errors are DatasetErrors, so this is the output
+        if not args.output:
+            # the interpreter's final flush of stdout must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        target = args.output or "standard output"
+        reason = exc.strerror or exc
+        print(f"seqmine: cannot write {target}: {reason}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -6,9 +6,9 @@ next unbound variable is ever filtered.  The 0 terminator is removed to
 force continuation; a multi-value filter is one `FDVariable.restrict` to
 the values allowed (the live symbols of the automaton state for the
 regex).  A length maximum needs no propagator: the model has no more
-variables than the maximum.  A variable bound to 0 means the pattern is
-complete (the terminator was only left available when ending there is
-permitted, so completions need no further checks).
+variables than the maximum.  The search engine ends a pattern where a
+branch takes 0 and runs no propagator there, so a propagator sees only
+symbols and says where a pattern may end by keeping or removing 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .kernel import FDVariable, Propagator, ReversibleInt, Trail
+from .kernel import FDVariable, Propagator
 from .regex import PatternDFA
 
 __all__ = [
@@ -75,9 +75,7 @@ class PatternLength(Propagator):
 
     def propagate(self, depth: int) -> bool:
         variables = self.vars
-        if depth >= 0 and variables[depth].value() == 0:
-            return True
-        length = depth + 1  # bound prefix is all nonzero
+        length = depth + 1
         if length >= self.bounds.min_len:
             return True
         # too short: continuing is forced, so the next slot must exist
@@ -95,8 +93,6 @@ class CardinalityConstraint(Propagator):
 
     def propagate(self, depth: int) -> bool:
         variables = self.vars
-        if depth >= 0 and variables[depth].value() == 0:
-            return True
         spec = self.spec
         occurrences = 0
         for k in range(depth + 1):
@@ -121,40 +117,35 @@ class CardinalityConstraint(Propagator):
 class RegularConstraint(Propagator):
     """Accept only patterns whose symbol string is in the DFA's language.
 
-    Tracks the automaton state of the bound prefix in a reversible integer.
-    The next domain is restricted to the state's live symbols after which
-    acceptance is still reachable within the pattern slots left (a prefix
-    of `live`, which is ordered by that distance), plus the terminator when
-    the current state already accepts.  So every symbol bound after that
-    state has a move from it, which leads to a state that can accept.
+    Keeps the automaton state of each bound prefix in a per-depth list:
+    ``_states[k]`` is the state after the first k symbols.  The search
+    binds one variable per node, and a node only reads the entry its parent
+    wrote, so the list needs no trail; a re-run at the same node rewrites
+    the same entry.  The next domain is restricted to the state's live
+    symbols after which acceptance is still reachable within the pattern
+    slots left (a prefix of `live`, which is ordered by that distance),
+    plus the terminator when the state already accepts.  No acceptance
+    check is needed when a pattern ends: 0 is kept only at accepting
+    states, and at the last slot the budget of 0 steps kept only symbols
+    whose successor accepts.
     """
 
-    def __init__(
-        self, dfa: PatternDFA, variables: Sequence[FDVariable], trail: Trail
-    ) -> None:
+    def __init__(self, dfa: PatternDFA, variables: Sequence[FDVariable]) -> None:
         self.dfa = dfa
         self.vars = list(variables)
-        self._consumed = ReversibleInt(trail, 0)
-        self._state = ReversibleInt(trail, dfa.start)
+        self._states = [dfa.start] * (len(self.vars) + 1)
 
     def propagate(self, depth: int) -> bool:
         dfa = self.dfa
         variables = self.vars
-        f = self._consumed.value
-        q = self._state.value
-        while f <= depth:
-            a = variables[f].value()
-            if a == 0:
-                # complete: the prefix must be accepted
-                return dfa.is_accepting(q)
-            q = dfa.transitions[q][a]
-            f += 1
-        if f != self._consumed.value:
-            self._consumed.set(f)
-            self._state.set(q)
+        states = self._states
+        f = depth + 1
+        if depth >= 0:
+            states[f] = dfa.transitions[states[depth]][variables[depth].value()]
         total = len(variables)
         if f >= total:
-            return dfa.is_accepting(q)
+            return True
+        q = states[f]
         # live symbols after which acceptance fits in the slots left
         keep = dfa.live[q][: bisect_right(dfa.live_steps[q], total - f - 1)]
         return variables[f].restrict(keep + (0,) if dfa.is_accepting(q) else keep)

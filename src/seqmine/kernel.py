@@ -11,11 +11,13 @@ the size recovers the previous domain as a set with no per-value
 bookkeeping.
 
 The search is a loop over an explicit stack, so its depth is not bounded
-by Python's recursion limit.  It runs each propagator once per node; the
-`Propagator` contract is what makes one pass enough.  Propagators signal
-failure through their return value, never by raising; an empty domain is
-reported as a failed removal or restriction, not silently produced.
-Everything here is single-threaded.
+by Python's recursion limit.  It runs each propagator once per node that
+binds a symbol; the `Propagator` contract is what makes one pass enough.
+The value 0 is the pattern terminator and belongs to the engine alone: a
+0 branch is a leaf that emits the bound prefix and runs no propagator.
+Propagators signal failure through their return value, never by raising;
+an empty domain is reported as a failed removal or restriction, not
+silently produced.  Everything here is single-threaded.
 """
 
 from __future__ import annotations
@@ -216,12 +218,15 @@ class FDVariable:
 class Propagator:
     """Base class for constraint propagators.
 
-    ``propagate(depth)`` is called once per search node with the index of
-    the variable just bound by the search (-1 once at the root, before any
-    variable is bound).  All variables at or below `depth` are bound.  An
+    ``propagate(depth)`` is called once at the root with depth -1, before
+    any variable is bound, and once per search node that binds
+    ``variables[depth]`` to a symbol, never to the 0 terminator.  All
+    variables at or below `depth` are then bound to symbols.  An
     implementation may read only those bound variables and may prune only
     the next variable, ``depth + 1``; under that contract one pass over all
-    propagators is already stable.  Failure is reported by returning False.
+    propagators is already stable.  A propagator that leaves 0 in the next
+    domain allows the pattern to end there: the engine ends it without
+    asking again.  Failure is reported by returning False.
     """
 
     def propagate(self, depth: int) -> bool:
@@ -237,8 +242,11 @@ class SearchEngine:
 
     Variables are branched strictly left to right; values are tried in
     ascending order with 0 (the pattern terminator) last.  After each
-    assignment every propagator runs once, in registration order.  A
-    solution is the bound prefix: it is complete when a branch assigns 0
+    symbol is assigned every propagator runs once, in registration order.
+    A 0 branch is a leaf: it counts as a node and consults the node hook,
+    then emits the bound prefix without touching the trail, the domain or
+    any propagator, since 0 is only left in a domain where every propagator
+    allows the pattern to end.  A solution is thus complete at a 0 branch
     (the terminator itself is not part of it) or when the last variable is
     filled, and it reaches the sink as the list of its nonzero values.  The
     whole search runs inside one trail level, so all state (domains and any
@@ -313,11 +321,12 @@ class SearchEngine:
                 self.nodes += 1
                 if hook is not None and not hook():
                     raise _Abort
+                if a == 0:
+                    self._emit(depth)  # the terminator: a leaf
+                    continue
                 trail.push_level()
                 if var.assign(a) and self._propagate(depth):
-                    if a == 0:
-                        self._emit(depth)
-                    elif depth + 1 == last:
+                    if depth + 1 == last:
                         # every slot filled: the pattern ends without a terminator
                         self._emit(last)
                     else:

@@ -83,9 +83,7 @@ class Model(NamedTuple):
     frequency: ProjectionPropagator
 
 
-def build_model(
-    db: SequenceDatabase, config: MiningConfig, self_check: bool = False
-) -> Model:
+def build_model(db: SequenceDatabase, config: MiningConfig) -> Model:
     """Create variables and propagators for mining `db` under `config`."""
     trail = Trail()
     n = db.symbol_count
@@ -99,14 +97,12 @@ def build_model(
     propagators: list = []
     if config.regex is not None:
         dfa = compile_regex(config.regex, db.literal_ids())
-        propagators.append(RegularConstraint(dfa, variables, trail))
+        propagators.append(RegularConstraint(dfa, variables))
     if config.length is not None:
         propagators.append(PatternLength(config.length, variables))
     for spec in config.cardinalities:
         propagators.append(CardinalityConstraint(spec, variables))
-    frequency = PROPAGATORS[config.propagator](
-        db, variables, config.min_sup, trail, self_check=self_check
-    )
+    frequency = PROPAGATORS[config.propagator](db, variables, config.min_sup, trail)
     propagators.append(frequency)
     return Model(trail, variables, propagators, frequency)
 
@@ -116,7 +112,6 @@ def mine(
     config: MiningConfig,
     on_pattern: Callable[[tuple[int, ...], int], None] | None = None,
     node_hook: Callable[[], bool] | None = None,
-    self_check: bool = False,
 ) -> MiningResult:
     """Enumerate all frequent patterns of `db` under `config`.
 
@@ -126,7 +121,7 @@ def mine(
     the search and marks the result as timed out.
     """
     started = time.perf_counter()
-    model = build_model(db, config, self_check=self_check)
+    model = build_model(db, config)
     frequency = model.frequency
     result = MiningResult()
 

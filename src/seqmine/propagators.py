@@ -1,10 +1,11 @@
 """Projected-frequency propagation over a shared stacked pseudo-projection.
 
-The propagator enforces, over pattern variables P1..PL, that the prefix of
-nonzero symbols stays frequent: a variable bound to 0 ends the pattern and
-needs no work, otherwise the projection window is extended by the new
-symbol, the search fails when the window support drops below the
-threshold, and infrequent symbols are filtered from the next variable only.
+The propagator enforces, over pattern variables P1..PL, that the bound
+prefix stays frequent: each node that binds a symbol extends the
+projection window by it, the search fails when the window support drops
+below the threshold, and infrequent symbols are filtered from the next
+variable only.  The 0 terminator is the search engine's: it always passes
+the filter, and no propagator runs where a pattern ends.
 
 The window lives in two arrays of (sequence id, suffix start) entries
 shared by the whole search.  A child window is appended right after its
@@ -134,14 +135,14 @@ def projected_symbol_counts(
 
 
 class ProjectionPropagator(Propagator):
-    """Shared machinery: catch-up, window stacking, frequency filtering.
+    """Shared machinery: window stacking and frequency filtering.
 
-    ``propagate(depth)`` replays any bound-but-unprojected variables up to
-    `depth` in order, so variables bound by other constraints (singleton
-    domains) are picked up at the next search node.  After extending, the
-    frequencies of the newest window filter the domain of the next unbound
-    variable; earlier variables are never touched.  At the root (depth -1)
-    the database supports filter the first variable.
+    ``propagate(depth)`` projects the live window by the symbol bound at
+    `depth`, then the frequencies of the new window filter the domain of
+    the next variable; earlier variables are never touched.  The trailed
+    `prefix_len` is the length of the projected prefix, so a re-run at the
+    same node sees the projection done and changes nothing.  At the root
+    (depth -1) the database supports filter the first variable.
 
     `positions_visited` counts sequence elements read while scanning
     (matching and, for the baseline, counting); reads of the precomputed
@@ -156,7 +157,6 @@ class ProjectionPropagator(Propagator):
         variables: Sequence[FDVariable],
         min_sup: int,
         trail: Trail,
-        self_check: bool = False,
     ) -> None:
         if min_sup < 1:
             raise ValueError("min_sup must be at least 1")
@@ -169,7 +169,6 @@ class ProjectionPropagator(Propagator):
         self.positions_visited = 0
         self.entries_examined = 0
         self.peak_depth = 0
-        self.self_check = self_check
         self._scratch: list[int] = list(db.symbol_supports)
 
     # -- variant hooks ----------------------------------------------------
@@ -199,22 +198,14 @@ class ProjectionPropagator(Propagator):
             # the symbol supports (the scratch may hold a past search's counts)
             self._scratch = list(self.db.symbol_supports)
             return self._filter(0)
-        variables = self.vars
-        start = f = self.prefix_len.value
-        while f <= depth:
-            a = variables[f].value()
-            if a == 0:
-                break  # the pattern ended at length f
-            if not self._extend(a):
-                return False
-            f += 1
-        if f == start:
-            return True
+        if self.prefix_len.value > depth:
+            return True  # already projected at this node
+        if not self._extend(self.vars[depth].value()):
+            return False
+        f = depth + 1
         self.prefix_len.set(f)
         if f > self.peak_depth:
             self.peak_depth = f
-        if self.self_check:
-            self._verify_counts()
         return self._filter(f)
 
     def _filter(self, f: int) -> bool:
@@ -223,14 +214,6 @@ class ProjectionPropagator(Propagator):
         var = self.vars[f]
         theta, freq = self.min_sup, self._freq_of
         return var.restrict([b for b in var.values() if b == 0 or freq(b) >= theta])
-
-    def _verify_counts(self) -> None:
-        expect = projected_symbol_counts(self.db, self.projection.window())
-        got = self.frequencies()
-        if got != expect:
-            raise AssertionError(
-                f"window frequencies {got} differ from recount {expect}"
-            )
 
     # -- shared scans ------------------------------------------------------
 
@@ -295,8 +278,8 @@ class FullScanProjection(ProjectionPropagator):
     every remaining suffix element once per sequence.
     """
 
-    def __init__(self, db, variables, min_sup, trail, self_check=False):
-        super().__init__(db, variables, min_sup, trail, self_check)
+    def __init__(self, db, variables, min_sup, trail):
+        super().__init__(db, variables, min_sup, trail)
         self._seen = [0] * (db.symbol_count + 1)
         self._seen_token = 0
 
@@ -367,8 +350,8 @@ class DecrementProjection(ProjectionPropagator):
     Backtracking restores the counters through the trail.
     """
 
-    def __init__(self, db, variables, min_sup, trail, self_check=False):
-        super().__init__(db, variables, min_sup, trail, self_check)
+    def __init__(self, db, variables, min_sup, trail):
+        super().__init__(db, variables, min_sup, trail)
         self._counts = [None] + [
             ReversibleInt(trail, db.symbol_supports[a])
             for a in range(1, db.symbol_count + 1)

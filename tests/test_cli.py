@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -194,6 +195,32 @@ def test_empty_file_is_a_data_error(capsys, tmp_path):
     path.write_text("\n\n")
     code, _, err = run(capsys, "mine", str(path), "--minsup", "1")
     assert code == 3
+
+
+def output_argv(command, data, output):
+    """Arguments that make `command` write to `output`."""
+    if command == "gen":
+        return ["gen", output, "--sequences", "3", "--alphabet", "8", "--mean-length", "5"]
+    return [command, data, "--minsup", "2", "--output", output]
+
+
+@pytest.mark.parametrize("command", ["mine", "bench", "oracle", "gen"])
+def test_output_in_a_missing_directory_is_an_output_error(
+    capsys, data, tmp_path, command
+):
+    missing = str(tmp_path / "missing" / "out.txt")
+    code, _, err = run(capsys, *output_argv(command, data, missing))
+    assert code == 3
+    assert err.startswith(f"seqmine: cannot write {missing}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_to_a_full_device_is_an_output_error(capsys, data):
+    code, _, err = run(capsys, "mine", data, "--minsup", "2", "--output", "/dev/full")
+    assert code == 3
+    assert err.startswith("seqmine: cannot write /dev/full: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad", ["0", "-2", "abc", "1.5", "0.0"])
@@ -422,3 +449,24 @@ def test_mine_deep_pattern_exits_zero(tmp_path):
     assert proc.returncode == 0, proc.stderr[-500:]
     assert proc.stderr == ""
     assert len(proc.stdout.splitlines()) == 1500
+
+
+def test_closed_pipe_is_an_output_error(tmp_path):
+    # one sequence of 150 distinct tokens: its 11 325 patterns of length 1-2
+    # outgrow the pipe buffer long before the search ends
+    path = tmp_path / "wide.txt"
+    path.write_text(" ".join(f"t{i}" for i in range(150)) + "\n")
+    argv = ["mine", str(path), "--minsup", "1", "--max-size", "2"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seqmine.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline().endswith("#SUP: 1\n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert err.startswith("seqmine: cannot write standard output: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -9,8 +9,10 @@ import pytest
 
 from seqmine import (
     EmptyDatabaseError,
+    LengthBounds,
     MiningConfig,
     OracleConfig,
+    SymbolCardinality,
     build_database,
     build_model,
     mine,
@@ -273,11 +275,81 @@ def test_sdb1_theta2_patterns(sdb1_theta2, variant):
     assert got == SDB1_THETA2_PATTERNS
 
 
+class Recount(Propagator):
+    """Registered last: asserts that the live window's frequencies equal a
+    from-scratch recount after every successful pass."""
+
+    def __init__(self, model):
+        self.frequency = model.frequency
+        self.calls = 0
+
+    def propagate(self, depth):
+        freq = self.frequency
+        expect = projected_symbol_counts(freq.db, freq.projection.window())
+        assert freq.frequencies() == expect, depth
+        self.calls += 1
+        return True
+
+
+def search_with(db, config, make_check):
+    """Search the model of `config` with `make_check(model)` registered after
+    its propagators; returns the model, the check, the engine and the
+    patterns."""
+    model = build_model(db, config)
+    check = make_check(model)
+    seen = []
+    engine = SearchEngine(
+        model.trail, model.variables, model.propagators + [check], seen.append
+    )
+    engine.solve_all()
+    return model, check, engine, [tuple(values) for values in seen]
+
+
+def symbol_nodes(model, engine, patterns):
+    """Passes a propagator registered last sees: the root pass plus every node
+    that bound a symbol and passed the others.  A pattern shorter than the
+    model ended at a 0 branch, which runs no propagator."""
+    ended = sum(1 for p in patterns if len(p) < len(model.variables))
+    return 1 + engine.nodes - engine.failures - ended
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_self_check_recounts_at_every_node(sdb1_theta2, variant):
     config = MiningConfig(min_sup=2, propagator=variant)
-    result = mine(sdb1_theta2, config, self_check=True)
-    assert len(result.patterns) == 9
+    model, check, engine, patterns = search_with(sdb1_theta2, config, Recount)
+    assert len(patterns) == 9
+    assert check.calls == symbol_nodes(model, engine, patterns)
+
+
+# (solutions, nodes, failures, positions_visited and entries_examined per
+# strategy in ALL_VARIANTS order) on SDB1 at threshold 2
+SDB1_THETA2_COUNTERS = [
+    ({}, 9, 18, 0, (73, 39, 39, 39), (31, 28, 31, 31)),
+    (
+        {"regex": "A B* C?", "length": LengthBounds(1, 3)},
+        4, 7, 0, (31, 13, 13, 13), (13, 12, 13, 13),
+    ),
+    (
+        {"cardinalities": (SymbolCardinality(2, at_most=1),)},
+        7, 14, 0, (64, 33, 33, 33), (25, 22, 25, 25),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "constraints, solutions, nodes, failures, positions, entries",
+    SDB1_THETA2_COUNTERS,
+)
+def test_worked_example_search_counters_are_pinned(
+    sdb1_theta2, constraints, solutions, nodes, failures, positions, entries
+):
+    for variant, visited, examined in zip(ALL_VARIANTS, positions, entries):
+        config = MiningConfig(min_sup=2, propagator=variant, **constraints)
+        stats = mine(sdb1_theta2, config).stats
+        assert stats.solution_count == solutions, variant
+        assert (stats.search_nodes, stats.failures) == (nodes, failures), variant
+        assert stats.positions_visited == visited, variant
+        assert stats.entries_examined == examined, variant
 
 
 def test_all_variants_trace_identical_search_trees(sdb1_theta2):
@@ -342,27 +414,48 @@ class StabilityCheck(Propagator):
         return True
 
 
+def constraint_cases(variant):
+    """Every (database, config) of the constraint suite, for `variant`."""
+    cases = [
+        (db, replace(config, propagator=variant))
+        for db in _constraint_corpora()
+        for config in _constraint_suite(db)
+    ]
+    assert len(cases) >= 200
+    return cases
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_one_propagation_pass_per_node_is_stable(variant):
-    checked = 0
-    for db in _constraint_corpora():
-        for config in _constraint_suite(db):
-            config = replace(config, propagator=variant)
-            model = build_model(db, config)
-            check = StabilityCheck(model.propagators, model.variables)
-            seen = []
-            engine = SearchEngine(
-                model.trail,
-                model.variables,
-                model.propagators + [check],
-                seen.append,
-            )
-            engine.solve_all()
-            # the root pass plus every node whose other propagators succeeded
-            assert check.calls == 1 + engine.nodes - engine.failures
-            assert [tuple(v) for v in seen] == [p for p, _ in mine(db, config).patterns]
-            checked += 1
-    assert checked >= 200
+    for db, config in constraint_cases(variant):
+        model, check, engine, patterns = search_with(
+            db, config, lambda m: StabilityCheck(m.propagators, m.variables)
+        )
+        assert check.calls == symbol_nodes(model, engine, patterns)
+        assert patterns == [p for p, _ in mine(db, config).patterns]
+
+
+class BoundValues(Propagator):
+    """Registered last: records the value each node bound."""
+
+    def __init__(self, variables):
+        self.vars = list(variables)
+        self.bound = []
+
+    def propagate(self, depth):
+        if depth >= 0:
+            self.bound.append(self.vars[depth].value())
+        return True
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_propagators_never_run_on_the_terminator(variant):
+    for db, config in constraint_cases(variant):
+        _, check, _, patterns = search_with(
+            db, config, lambda m: BoundValues(m.variables)
+        )
+        assert 0 not in check.bound, config
+        assert patterns == [p for p, _ in mine(db, config).patterns]
 
 
 def naive_window(db, prefix):
@@ -413,10 +506,9 @@ def test_random_corpus_variants_agree_with_self_check():
             continue
         reference = None
         for variant in ALL_VARIANTS:
-            result = mine(
-                db, MiningConfig(min_sup=theta, propagator=variant), self_check=True
-            )
-            got = sorted(result.patterns)
+            config = MiningConfig(min_sup=theta, propagator=variant)
+            *_, patterns = search_with(db, config, Recount)
+            got = sorted(patterns)
             if reference is None:
                 reference = got
             else:
