@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from typing import Sequence, TextIO
 
 from .constraints import LengthBounds, SymbolCardinality
@@ -427,7 +427,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # input read errors are DatasetErrors, so this is the output
         if not args.output:
             # the interpreter's final flush of stdout must not fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with suppress(OSError, ValueError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         target = args.output or "standard output"
         reason = exc.strerror or exc
         print(f"seqmine: cannot write {target}: {reason}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -221,6 +222,23 @@ def test_output_to_a_full_device_is_an_output_error(capsys, data):
     assert code == 3
     assert err.startswith("seqmine: cannot write /dev/full: ")
     assert "Traceback" not in err
+
+
+class ClosedStream(io.StringIO):
+    """A standard output with no descriptor whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_without_a_descriptor_is_an_output_error(
+    capsys, data, monkeypatch
+):
+    monkeypatch.setattr(sys, "stdout", ClosedStream())
+    code = main(["mine", data, "--minsup", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "seqmine: cannot write standard output: Broken pipe\n"
 
 
 @pytest.mark.parametrize("bad", ["0", "-2", "abc", "1.5", "0.0"])
@@ -465,8 +483,7 @@ def test_closed_pipe_is_an_output_error(tmp_path):
     )
     assert proc.stdout.readline().endswith("#SUP: 1\n")
     proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 3
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3
     assert err.startswith("seqmine: cannot write standard output: ")
     assert err.count("\n") == 1 and "Traceback" not in err
