@@ -254,6 +254,7 @@ def _emit_stats(out: TextIO, stats: RunStats) -> None:
     out.write(f"# failures={stats.failures}\n")
     out.write(f"# positions_visited={stats.positions_visited}\n")
     out.write(f"# entries_examined={stats.entries_examined}\n")
+    out.write(f"# supports_counted={stats.supports_counted}\n")
     out.write(f"# wall_time_ms={stats.wall_time_ms:.1f}\n")
     out.write(f"# peak_projection_depth={stats.peak_projection_depth}\n")
 

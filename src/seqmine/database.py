@@ -7,7 +7,8 @@ precomputed last-position lists and index are 1-based.  Both hold one entry
 per (sequence, distinct symbol) pair, so their size is that of the data,
 not sequences x alphabet.  Symbols whose sequence support falls below the
 mining threshold are removed at load time; sequences emptied by that
-removal are dropped.
+removal are dropped.  The vertical bitmaps of the bit-parallel strategy
+are built per symbol on first use, never at load time.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 __all__ = [
     "DatasetError",
     "EmptyDatabaseError",
     "SequenceDatabase",
+    "SymbolBitmaps",
     "compute_last_positions",
     "parse_plain",
     "parse_spmf",
@@ -64,7 +66,8 @@ class SequenceDatabase:
     sequence contains `a` to the last position of `a` in it.  The index is
     derived from `seqs`, ``input_sequences`` is the sequence count before
     filtering and ``dropped`` holds the input tokens that filtering removed;
-    none of them takes part in equality.
+    none of them takes part in equality, and neither do the cached
+    `bitmaps`.
     """
 
     seqs: tuple[tuple[int, ...], ...]
@@ -93,6 +96,11 @@ class SequenceDatabase:
         return range(1, len(self.seqs))
 
     @cached_property
+    def bitmaps(self) -> SymbolBitmaps:
+        """Vertical bitmaps of the sequences, each symbol's on first use."""
+        return SymbolBitmaps(self.seqs, self.last_pos_index)
+
+    @cached_property
     def lengths_desc(self) -> tuple[int, ...]:
         """Sequence lengths, longest first (sorted once, on first use)."""
         return tuple(sorted(map(len, self.seqs[1:]), reverse=True))
@@ -119,6 +127,76 @@ class SequenceDatabase:
 
     def tokens(self, pattern: Sequence[int]) -> list[str]:
         return [self.names[a] for a in pattern]
+
+
+class _BuiltOnUse(dict):
+    """A dict that builds a missing key's value once, by calling `build`."""
+
+    def __init__(self, build: Callable[[int], int]) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self._build(key)
+        return value
+
+
+class SymbolBitmaps:
+    """The sequences as bits of Python ints, laid end to end in sid order.
+
+    Sequence `sid` is a block of ``len + 1`` bits from ``offsets[sid]``:
+    bit ``offsets[sid] + i`` stands for its 0-based position i, and the top
+    bit is a guard.  `starts` has each block's first bit and `guards` each
+    guard bit.  ``occ[a]`` has a bit at every occurrence of symbol `a` and
+    ``last[a]`` one at its last occurrence in each sequence holding it; both
+    are built the first time a symbol is looked up, so only the symbols a
+    search projects on or counts cost memory.
+    """
+
+    def __init__(
+        self, seqs: Sequence[Sequence[int]], last_pos_index: Sequence[dict[int, int]]
+    ) -> None:
+        self._seqs = seqs
+        self._index = last_pos_index
+        offsets = [0] * len(seqs)
+        top = 0
+        for sid in range(1, len(seqs)):
+            offsets[sid] = top
+            top += len(seqs[sid]) + 1
+        self.offsets = offsets
+        self._bytes = (top + 7) // 8
+        self.starts = self._bits(offsets[1:])
+        self.guards = self._bits(
+            offsets[sid] + len(seqs[sid]) for sid in range(1, len(seqs))
+        )
+        self.occ: dict[int, int] = _BuiltOnUse(self._occurrences)
+        self.last: dict[int, int] = _BuiltOnUse(self._last_occurrences)
+
+    def _bits(self, positions: Iterable[int]) -> int:
+        """The int with exactly the given bits set."""
+        buf = bytearray(self._bytes)
+        for k in positions:
+            buf[k >> 3] |= 1 << (k & 7)
+        return int.from_bytes(buf, "little")
+
+    def _occurrences(self, a: int) -> int:
+        seqs, offsets = self._seqs, self.offsets
+        bits = []
+        for sid, last in self._index[a].items():
+            seq, base = seqs[sid], offsets[sid]
+            i = seq.index(a)
+            while True:
+                bits.append(base + i)
+                if i + 1 == last:
+                    break
+                i = seq.index(a, i + 1)
+        return self._bits(bits)
+
+    def _last_occurrences(self, a: int) -> int:
+        offsets = self.offsets
+        return self._bits(
+            offsets[sid] + p - 1 for sid, p in self._index[a].items()
+        )
 
 
 def parse_plain(lines: Iterable[str]) -> list[list[str]]:

@@ -140,6 +140,19 @@ class FDVariable:
             self._index[a] = slot
         self._size = ReversibleInt(trail, len(vals))
 
+    def copy(self) -> FDVariable:
+        """A new variable on the same trail with this one's domain.
+
+        The value and index lists are copied, not rebuilt, so copies of one
+        template share their int objects.
+        """
+        twin = FDVariable.__new__(FDVariable)
+        twin._trail = self._trail
+        twin._values = self._values[:]
+        twin._index = self._index[:]
+        twin._size = ReversibleInt(self._trail, self._size.value)
+        return twin
+
     @property
     def size(self) -> int:
         return self._size.value
@@ -195,6 +208,16 @@ class FDVariable:
     def assign(self, a: int) -> bool:
         """Reduce the domain to {a}; False when `a` is not available."""
         return self.restrict((a,))
+
+    def among(self, values: Iterable[int]) -> list[int]:
+        """The members of `values` that are in the domain, in their order.
+
+        Linear in `values`, not in the domain: the cheaper side when the
+        domain is the larger.
+        """
+        index, n = self._index, self._size.value
+        top = len(index)
+        return [a for a in values if 0 <= a < top and 0 <= index[a] < n]
 
     def values(self) -> list[int]:
         """Current domain in no particular order (a fresh list)."""

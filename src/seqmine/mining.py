@@ -53,8 +53,11 @@ class RunStats:
 
     `positions_visited` counts sequence elements read by the projection
     scans; `entries_examined` counts the window or last-position index
-    entries those scans walked; `peak_projection_depth` is the longest
-    prefix whose window was materialized.  Always: failures +
+    entries those scans walked (the bitmap strategy, `ppic`, reads
+    neither, so both are 0 for it); `supports_counted` counts the
+    candidate supports the frequency filter compared with the threshold
+    below the root, whatever the strategy; `peak_projection_depth` is the
+    longest prefix whose window was materialized.  Always: failures +
     solution_count <= search_nodes.
     """
 
@@ -63,6 +66,7 @@ class RunStats:
     failures: int = 0
     positions_visited: int = 0
     entries_examined: int = 0
+    supports_counted: int = 0
     wall_time_ms: float = 0.0
     peak_projection_depth: int = 0
 
@@ -93,7 +97,10 @@ def build_model(db: SequenceDatabase, config: MiningConfig) -> Model:
     if config.length is not None:
         length = min(length, config.length.max_len)
     variables = [FDVariable(trail, range(1, n + 1))]
-    variables += [FDVariable(trail, range(0, n + 1)) for _ in range(length - 1)]
+    if length > 1:
+        # one template's lists are copied, so the domains share their ints
+        full = FDVariable(trail, range(0, n + 1))
+        variables += [full] + [full.copy() for _ in range(length - 2)]
     propagators: list = []
     if config.regex is not None:
         dfa = compile_regex(config.regex, db.literal_ids())
@@ -127,7 +134,7 @@ def mine(
 
     def sink(values: list[int]) -> None:
         pattern = tuple(values)
-        support = frequency.projection.size.value
+        support = frequency.support()
         if on_pattern is not None:
             on_pattern(pattern, support)
         else:
@@ -143,6 +150,7 @@ def mine(
         failures=engine.failures,
         positions_visited=frequency.positions_visited,
         entries_examined=frequency.entries_examined,
+        supports_counted=frequency.supports_counted,
         wall_time_ms=elapsed,
         peak_projection_depth=frequency.peak_depth,
     )

@@ -1,4 +1,4 @@
-"""Projected-frequency propagation over a shared stacked pseudo-projection.
+"""Projected-frequency propagation over a shared, stacked pseudo-projection.
 
 The propagator enforces, over pattern variables P1..PL, that the bound
 prefix stays frequent: each node that binds a symbol extends the
@@ -7,29 +7,36 @@ below the threshold, and infrequent symbols are filtered from the next
 variable only.  The 0 terminator is the search engine's: it always passes
 the filter, and no propagator runs where a pattern ends.
 
-The window lives in two arrays of (sequence id, suffix start) entries
-shared by the whole search.  A child window is appended right after its
-parent, never overwriting live entries, so the only reversible state is the
-pair of integers delimiting the live block; suffix starts are 0-based
-indexes of the first element after the matched prefix.  Windows and the
-last-position index are both in ascending sequence-id order, so a
-projection may walk either one and build the same child window.
+The list strategies keep windows in two arrays of (sequence id, suffix
+start) entries shared by the whole search.  A child window is appended
+right after its parent, never overwriting live entries, so the only
+reversible state is the pair of integers delimiting the live block; suffix
+starts are 0-based indexes of the first element after the matched prefix.
+Windows and the last-position index are both in ascending sequence-id
+order, so a projection may walk either one and build the same child
+window.  The bitmap strategy keeps one Python int per depth instead, over
+the database's vertical bitmaps (`SymbolBitmaps`, after SPAM), and uses
+the last-position idea as bits: a symbol is still in a suffix iff its last
+occurrence is.
 
 Four interchangeable projection strategies are provided:
 
 * ``baseline``  - scans every suffix in full to project and count,
-* ``ppic``      - skips exhausted sequences via the last-position index,
-                  walking the symbol's index instead of the window when it
-                  is the shorter, and counts by walking the last-position
-                  list,
+* ``ppic``      - projects with a few big-int operations per node and
+                  counts a symbol as the popcount of the window and its
+                  last-occurrence bitmap, only while the symbol has not
+                  been counted below the threshold on the branch,
 * ``ppdc``      - keeps reversible per-symbol counters, decremented by a
                   walk of the last-position list,
-* ``ppmixed``   - picks between the two preceding strategies per node,
-                  depending on how much of the window will survive.
+* ``ppmixed``   - picks per node between ``ppdc`` and a scratch recount
+                  that skips exhausted sequences via the last-position
+                  index (walking the symbol's index instead of the window
+                  when it is the shorter), depending on how much of the
+                  window will survive.
 
 All four produce identical windows, frequencies and search trees; they
-differ only in how much work they do to get there: sequence positions read
-and window or index entries examined.
+differ only in how much work they do to get there: sequence positions
+read, window or index entries examined and candidate supports counted.
 """
 
 from __future__ import annotations
@@ -43,8 +50,9 @@ from .kernel import FDVariable, Propagator, ReversibleInt, Trail
 __all__ = [
     "PseudoProjection",
     "ProjectionPropagator",
+    "ListProjection",
     "FullScanProjection",
-    "LastPosProjection",
+    "BitmapProjection",
     "DecrementProjection",
     "AdaptiveProjection",
     "PROPAGATORS",
@@ -135,7 +143,7 @@ def projected_symbol_counts(
 
 
 class ProjectionPropagator(Propagator):
-    """Shared machinery: window stacking and frequency filtering.
+    """Shared machinery: the frequency filter's protocol and counters.
 
     ``propagate(depth)`` projects the live window by the symbol bound at
     `depth`, then the frequencies of the new window filter the domain of
@@ -149,6 +157,8 @@ class ProjectionPropagator(Propagator):
     last-position tables are not sequence reads and are not counted.
     `entries_examined` counts the entries the projection scans walked:
     the parent window's, or the last-position index's on its index side.
+    `supports_counted` counts the candidate supports the filter compared
+    with the threshold below the root (the root reads the database's).
     """
 
     def __init__(
@@ -164,58 +174,242 @@ class ProjectionPropagator(Propagator):
         self.vars = list(variables)
         self.min_sup = min_sup
         self.trail = trail
-        self.projection = PseudoProjection(trail, db)
         self.prefix_len = ReversibleInt(trail, 0)
         self.positions_visited = 0
         self.entries_examined = 0
+        self.supports_counted = 0
         self.peak_depth = 0
-        self._scratch: list[int] = list(db.symbol_supports)
 
-    # -- variant hooks ----------------------------------------------------
+    # -- strategy hooks ---------------------------------------------------
 
-    def _extend(self, a: int) -> bool:
-        """Project the live window by symbol `a`; False when support drops
-        below the threshold.  Must leave frequencies readable via _freq_of."""
+    def _extend(self, a: int, f: int) -> bool:
+        """Project the live window of prefix length ``f - 1`` by symbol `a`;
+        False when the support drops below the threshold."""
         raise NotImplementedError
+
+    def _filter(self, f: int) -> bool:
+        """Keep the symbols frequent in the window of prefix length `f` in
+        the domain of variable `f`, with 0; False when that empties it."""
+        raise NotImplementedError
+
+    def support(self) -> int:
+        """Number of sequences in the live window."""
+        raise NotImplementedError
+
+    def window(self) -> list[tuple[int, int]]:
+        """Live window as (sid, suffix start) pairs in ascending sid order."""
+        raise NotImplementedError
+
+    def frequencies(self) -> list[int]:
+        """Per-symbol frequency of the live window (index = symbol id)."""
+        raise NotImplementedError
+
+    # -- propagation ------------------------------------------------------
+
+    def _root(self) -> bool:
+        """The root window is the database: its supports filter variable 0."""
+        var, supports, theta = self.vars[0], self.db.symbol_supports, self.min_sup
+        return var.restrict([b for b in var.values() if supports[b] >= theta])
+
+    def propagate(self, depth: int) -> bool:
+        if depth < 0:
+            return self._root()
+        if self.prefix_len.value > depth:
+            return True  # already projected at this node
+        f = depth + 1
+        if not self._extend(self.vars[depth].value(), f):
+            return False
+        self.prefix_len.set(f)
+        if f > self.peak_depth:
+            self.peak_depth = f
+        return f >= len(self.vars) or self._filter(f)
+
+
+class ListProjection(ProjectionPropagator):
+    """Projection over the stacked window arrays of `PseudoProjection`.
+
+    Subclasses leave the live window's frequencies readable through
+    `_freq_of` after each extension; the scratch-counting ones refresh
+    `_scratch`, which the root resets to the database supports.
+    """
+
+    def __init__(self, db, variables, min_sup, trail):
+        super().__init__(db, variables, min_sup, trail)
+        self.projection = PseudoProjection(trail, db)
+        self._scratch: list[int] = list(db.symbol_supports)
 
     def _freq_of(self, a: int) -> int:
         return self._scratch[a]
 
-    def frequencies(self) -> list[int]:
-        """Per-symbol frequency of the live window (index = symbol id).
+    def support(self) -> int:
+        return self.projection.size.value
 
-        The scratch-counting strategies refresh this on every extension, so
-        it is only meaningful right after a successful propagate; the
-        counter-based strategies keep it valid across backtracking.
-        """
+    def window(self) -> list[tuple[int, int]]:
+        return self.projection.window()
+
+    def frequencies(self) -> list[int]:
+        """The scratch-counting strategies refresh this on every extension,
+        so it is only meaningful right after a successful propagate; the
+        counter-based strategies keep it valid across backtracking."""
         return [0] + [self._freq_of(a) for a in range(1, self.db.symbol_count + 1)]
 
-    # -- propagation ------------------------------------------------------
-
-    def propagate(self, depth: int) -> bool:
-        if depth < 0:
-            # the root window is the database: filter the first variable by
-            # the symbol supports (the scratch may hold a past search's counts)
-            self._scratch = list(self.db.symbol_supports)
-            return self._filter(0)
-        if self.prefix_len.value > depth:
-            return True  # already projected at this node
-        if not self._extend(self.vars[depth].value()):
-            return False
-        f = depth + 1
-        self.prefix_len.set(f)
-        if f > self.peak_depth:
-            self.peak_depth = f
-        return self._filter(f)
+    def _root(self) -> bool:
+        # the scratch may hold a past search's counts
+        self._scratch = list(self.db.symbol_supports)
+        return super()._root()
 
     def _filter(self, f: int) -> bool:
-        if f >= len(self.vars):
-            return True
         var = self.vars[f]
+        values = var.values()
+        self.supports_counted += len(values) - var.contains(0)
         theta, freq = self.min_sup, self._freq_of
-        return var.restrict([b for b in var.values() if b == 0 or freq(b) >= theta])
+        return var.restrict([b for b in values if b == 0 or freq(b) >= theta])
 
-    # -- shared scans ------------------------------------------------------
+
+class FullScanProjection(ListProjection):
+    """Projection by full suffix scans (the reference strategy).
+
+    Every window entry is scanned from its cursor to find the next match;
+    sequences not containing the symbol are scanned to their end.  When the
+    child window is still frequent, frequencies are recounted by reading
+    every remaining suffix element once per sequence.
+    """
+
+    def __init__(self, db, variables, min_sup, trail):
+        super().__init__(db, variables, min_sup, trail)
+        self._seen = [0] * (db.symbol_count + 1)
+        self._seen_token = 0
+
+    def _extend(self, a: int, f: int) -> bool:
+        db = self.db
+        seqs = db.seqs
+        proj = self.projection
+        sids = proj.sids
+        poss = proj.poss
+        lo, hi = proj.open_child()
+        self.entries_examined += hi - lo
+        visited = 0
+        for k in range(lo, hi):
+            sid = sids[k]
+            pos = poss[k]
+            seq = seqs[sid]
+            n = len(seq)
+            scan_from = pos
+            while pos < n and seq[pos] != a:
+                pos += 1
+            if pos < n:
+                visited += pos - scan_from + 1
+                sids.append(sid)
+                poss.append(pos + 1)
+            else:
+                visited += n - scan_from
+        sup = proj.close_child(hi)
+        if sup < self.min_sup:
+            self.positions_visited += visited
+            return False
+        counts = [0] * (db.symbol_count + 1)
+        seen = self._seen
+        for k in range(hi, len(sids)):
+            seq = seqs[sids[k]]
+            start = poss[k]
+            self._seen_token += 1
+            token = self._seen_token
+            for idx in range(start, len(seq)):
+                sym = seq[idx]
+                if seen[sym] != token:
+                    seen[sym] = token
+                    counts[sym] += 1
+            visited += len(seq) - start
+        self.positions_visited += visited
+        self._scratch = counts
+        return True
+
+
+class DecrementProjection(ListProjection):
+    """Projection maintaining reversible per-symbol counters by decrements.
+
+    The counters start at the whole-database symbol supports and always
+    reflect the live window.  Projecting an entry loses the part of its
+    suffix up to and including the match, or the whole suffix when the
+    sequence is dropped; one walk of the sequence's last-position list
+    decrements every symbol whose last occurrence lies in that lost part.
+    Backtracking restores the counters through the trail.
+    """
+
+    def __init__(self, db, variables, min_sup, trail):
+        super().__init__(db, variables, min_sup, trail)
+        self._counts = [None] + [
+            ReversibleInt(trail, db.symbol_supports[a])
+            for a in range(1, db.symbol_count + 1)
+        ]
+
+    def _freq_of(self, a: int) -> int:
+        return self._counts[a].value
+
+    def _extend(self, a: int, f: int) -> bool:
+        return self._scan_decrement(a) >= self.min_sup
+
+    def _scan_decrement(self, a: int) -> int:
+        db = self.db
+        seqs = db.seqs
+        last = db.last_pos_index[a]
+        last_list = db.last_pos_list
+        counts = self._counts
+        proj = self.projection
+        sids = proj.sids
+        poss = proj.poss
+        lo, hi = proj.open_child()
+        self.entries_examined += hi - lo
+        visited = 0
+        for k in range(lo, hi):
+            sid = sids[k]
+            pos = poss[k]
+            seq = seqs[sid]
+            if sid not in last or last[sid] <= pos:
+                new = len(seq)  # dropped: its whole suffix leaves the window
+            else:
+                new = pos
+                while seq[new] != a:
+                    new += 1
+                new += 1
+                visited += new - pos
+                sids.append(sid)
+                poss.append(new)
+            # symbols last occurring in the lost indexes [pos, new), i.e.
+            # at 1-based positions pos < p <= new
+            for sym, p in last_list[sid]:
+                if p <= pos:
+                    break
+                if p <= new:
+                    c = counts[sym]
+                    c.set(c.value - 1)
+        self.positions_visited += visited
+        return proj.close_child(hi)
+
+
+class AdaptiveProjection(DecrementProjection):
+    """Per-node choice between scratch recounting and decrement updates.
+
+    When the projecting symbol appears in strictly fewer than half of the
+    window's suffixes, most of the window is about to be dropped and a
+    scratch recount over the survivors is cheaper; the fresh counts are
+    then written back into the reversible counters.  Otherwise the
+    decrement pass is used unchanged.
+    """
+
+    def _extend(self, a: int, f: int) -> bool:
+        parent_size = self.projection.size.value
+        if self._counts[a].value * 2 < parent_size:
+            sup, fresh = self._scan_lastpos(a)
+            if sup < self.min_sup:
+                return False
+            counts = self._counts
+            for b in range(1, self.db.symbol_count + 1):
+                c = counts[b]
+                if c.value != fresh[b]:
+                    c.set(fresh[b])
+            return True
+        return self._scan_decrement(a) >= self.min_sup
 
     def _scan_lastpos(self, a: int) -> tuple[int, list[int]]:
         """Last-position-guided projection pass.
@@ -269,167 +463,94 @@ class ProjectionPropagator(Propagator):
         return proj.close_child(hi), counts
 
 
-class FullScanProjection(ProjectionPropagator):
-    """Projection by full suffix scans (the reference strategy).
+class BitmapProjection(ProjectionPropagator):
+    """Bit-parallel projection and counting on the database's bitmaps.
 
-    Every window entry is scanned from its cursor to find the next match;
-    sequences not containing the symbol are scanned to their end.  When the
-    child window is still frequent, frequencies are recounted by reading
-    every remaining suffix element once per sequence.
+    A window is one int over the `SymbolBitmaps` layout: a bit at every
+    position left in a window suffix, and only the guard bit in the block
+    of a sequence outside the window.  ``_windows[f]`` is the window of the
+    first f bound symbols and ``_supports[f]`` its size, in per-depth lists:
+    a node reads only the entries its ancestors wrote, so neither needs the
+    trail.  Binding `a` takes, per block, the first match at or after the
+    cursor: with ``Y = F & occ[a]``, ``(Y | G) - O`` clears the lowest set
+    bit of Y in each block (the guard stops the borrow where Y is empty),
+    so ``L = Y ^ (Y & ((Y | G) - O))`` is that bit alone, the support is
+    ``L.bit_count()`` and ``G - (L << 1)`` is the child window.  A symbol
+    `b` is in a suffix iff its last occurrence is, so its support in
+    window F is ``(F & last[b]).bit_count()``.
+
+    Supports only shrink along a branch, so ``_candidates[f]`` is the set
+    of symbols not yet counted below the threshold on the way to depth f.
+    The filter counts only the next domain's values in that set, and the
+    child's set is the parent's minus those counted below the threshold:
+    an uncounted symbol (outside a domain restricted by the regex or the
+    cardinality constraints) is not known to be infrequent and stays.
     """
 
     def __init__(self, db, variables, min_sup, trail):
         super().__init__(db, variables, min_sup, trail)
-        self._seen = [0] * (db.symbol_count + 1)
-        self._seen_token = 0
+        self.bitmaps = bits = db.bitmaps
+        slots = len(self.vars) + 1
+        self._windows = [bits.guards - bits.starts] * slots
+        self._supports = [db.size] * slots
+        supports = db.symbol_supports
+        root = {b for b in range(1, db.symbol_count + 1) if supports[b] >= min_sup}
+        self._candidates: list[set[int]] = [root] * slots
 
-    def _extend(self, a: int) -> bool:
-        db = self.db
-        seqs = db.seqs
-        proj = self.projection
-        sids = proj.sids
-        poss = proj.poss
-        lo, hi = proj.open_child()
-        self.entries_examined += hi - lo
-        visited = 0
-        for k in range(lo, hi):
-            sid = sids[k]
-            pos = poss[k]
-            seq = seqs[sid]
-            n = len(seq)
-            scan_from = pos
-            while pos < n and seq[pos] != a:
-                pos += 1
-            if pos < n:
-                visited += pos - scan_from + 1
-                sids.append(sid)
-                poss.append(pos + 1)
-            else:
-                visited += n - scan_from
-        sup = proj.close_child(hi)
-        if sup < self.min_sup:
-            self.positions_visited += visited
-            return False
-        counts = [0] * (db.symbol_count + 1)
-        seen = self._seen
-        for k in range(hi, len(sids)):
-            seq = seqs[sids[k]]
-            start = poss[k]
-            self._seen_token += 1
-            token = self._seen_token
-            for idx in range(start, len(seq)):
-                sym = seq[idx]
-                if seen[sym] != token:
-                    seen[sym] = token
-                    counts[sym] += 1
-            visited += len(seq) - start
-        self.positions_visited += visited
-        self._scratch = counts
-        return True
-
-
-class LastPosProjection(ProjectionPropagator):
-    """Projection with last-position skipping and list-based counting."""
-
-    def _extend(self, a: int) -> bool:
-        sup, counts = self._scan_lastpos(a)
+    def _extend(self, a: int, f: int) -> bool:
+        bits = self.bitmaps
+        guards, starts = bits.guards, bits.starts
+        y = self._windows[f - 1] & bits.occ[a]
+        first = y ^ (y & ((y | guards) - starts))
+        sup = first.bit_count()
         if sup < self.min_sup:
             return False
-        self._scratch = counts
+        self._windows[f] = guards - (first << 1)
+        self._supports[f] = sup
         return True
 
+    def _filter(self, f: int) -> bool:
+        var = self.vars[f]
+        parent = self._candidates[f - 1]
+        # walk the smaller side: a regex leaves few domain values, an
+        # unconstrained domain holds the whole alphabet
+        if var.size < len(parent):
+            counted = [b for b in var.values() if b in parent]
+        else:
+            counted = var.among(parent)
+        window, last, theta = self._windows[f], self.bitmaps.last, self.min_sup
+        keep = [b for b in counted if (window & last[b]).bit_count() >= theta]
+        self.supports_counted += len(counted)
+        if len(keep) < len(counted):
+            parent = parent.difference(counted).union(keep)
+        self._candidates[f] = parent
+        keep.append(0)
+        return var.restrict(keep)
 
-class DecrementProjection(ProjectionPropagator):
-    """Projection maintaining reversible per-symbol counters by decrements.
+    def support(self) -> int:
+        return self._supports[self.prefix_len.value]
 
-    The counters start at the whole-database symbol supports and always
-    reflect the live window.  Projecting an entry loses the part of its
-    suffix up to and including the match, or the whole suffix when the
-    sequence is dropped; one walk of the sequence's last-position list
-    decrements every symbol whose last occurrence lies in that lost part.
-    Backtracking restores the counters through the trail.
-    """
+    def window(self) -> list[tuple[int, int]]:
+        window = self._windows[self.prefix_len.value]
+        offsets, seqs = self.bitmaps.offsets, self.db.seqs
+        out = []
+        for sid in self.db.sids:
+            n = len(seqs[sid])
+            block = (window >> offsets[sid]) & ((2 << n) - 1)
+            if not block >> n:  # a set guard bit: outside the window
+                out.append((sid, (block & -block).bit_length() - 1 if block else n))
+        return out
 
-    def __init__(self, db, variables, min_sup, trail):
-        super().__init__(db, variables, min_sup, trail)
-        self._counts = [None] + [
-            ReversibleInt(trail, db.symbol_supports[a])
-            for a in range(1, db.symbol_count + 1)
+    def frequencies(self) -> list[int]:
+        window, last = self._windows[self.prefix_len.value], self.bitmaps.last
+        return [0] + [
+            (window & last[b]).bit_count() for b in range(1, self.db.symbol_count + 1)
         ]
-
-    def _freq_of(self, a: int) -> int:
-        return self._counts[a].value
-
-    def _extend(self, a: int) -> bool:
-        sup = self._scan_decrement(a)
-        return sup >= self.min_sup
-
-    def _scan_decrement(self, a: int) -> int:
-        db = self.db
-        seqs = db.seqs
-        last = db.last_pos_index[a]
-        last_list = db.last_pos_list
-        counts = self._counts
-        proj = self.projection
-        sids = proj.sids
-        poss = proj.poss
-        lo, hi = proj.open_child()
-        self.entries_examined += hi - lo
-        visited = 0
-        for k in range(lo, hi):
-            sid = sids[k]
-            pos = poss[k]
-            seq = seqs[sid]
-            if sid not in last or last[sid] <= pos:
-                new = len(seq)  # dropped: its whole suffix leaves the window
-            else:
-                new = pos
-                while seq[new] != a:
-                    new += 1
-                new += 1
-                visited += new - pos
-                sids.append(sid)
-                poss.append(new)
-            # symbols last occurring in the lost indexes [pos, new), i.e.
-            # at 1-based positions pos < p <= new
-            for sym, p in last_list[sid]:
-                if p <= pos:
-                    break
-                if p <= new:
-                    c = counts[sym]
-                    c.set(c.value - 1)
-        self.positions_visited += visited
-        return proj.close_child(hi)
-
-
-class AdaptiveProjection(DecrementProjection):
-    """Per-node choice between scratch recounting and decrement updates.
-
-    When the projecting symbol appears in strictly fewer than half of the
-    window's suffixes, most of the window is about to be dropped and a
-    scratch recount over the survivors is cheaper; the fresh counts are
-    then written back into the reversible counters.  Otherwise the
-    decrement pass is used unchanged.
-    """
-
-    def _extend(self, a: int) -> bool:
-        parent_size = self.projection.size.value
-        if self._counts[a].value * 2 < parent_size:
-            sup, fresh = self._scan_lastpos(a)
-            if sup < self.min_sup:
-                return False
-            counts = self._counts
-            for b in range(1, self.db.symbol_count + 1):
-                c = counts[b]
-                if c.value != fresh[b]:
-                    c.set(fresh[b])
-            return True
-        return self._scan_decrement(a) >= self.min_sup
 
 
 PROPAGATORS = {
     "baseline": FullScanProjection,
-    "ppic": LastPosProjection,
+    "ppic": BitmapProjection,
     "ppdc": DecrementProjection,
     "ppmixed": AdaptiveProjection,
 }

@@ -75,10 +75,20 @@ def test_mine_stats_block(capsys, data):
     assert len(patterns) == 9
     assert stats["solution_count"] == "9"
     assert int(stats["failures"]) + 9 <= int(stats["search_nodes"])
-    assert int(stats["positions_visited"]) > 0
-    assert int(stats["entries_examined"]) > 0
+    # the default bitmap strategy scans no positions or entries
+    assert stats["positions_visited"] == "0"
+    assert stats["entries_examined"] == "0"
+    assert int(stats["supports_counted"]) > 0
     assert float(stats["wall_time_ms"]) >= 0.0
     assert stats["peak_projection_depth"] == "3"
+    code, out, _ = run(
+        capsys, "mine", data, "--minsup", "2", "--stats", "--propagator", "baseline"
+    )
+    assert code == 0
+    stats = dict(l[2:].split("=", 1) for l in out.splitlines() if l.startswith("# "))
+    assert int(stats["positions_visited"]) > 0
+    assert int(stats["entries_examined"]) > 0
+    assert int(stats["supports_counted"]) > 0
 
 
 def test_mine_writes_output_file(capsys, data, tmp_path):

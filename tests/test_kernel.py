@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from seqmine import MiningConfig, loads, mine
+from seqmine import MiningConfig, build_database, build_model, loads, mine
 from seqmine.kernel import (
     FDVariable,
     Propagator,
@@ -195,6 +196,38 @@ def test_restrict_keeps_the_intersection_and_handles_edge_cases():
     assert var.sorted_values() == [0, 2, 3, 5, 7]
 
 
+def test_among_keeps_the_domain_members_in_order():
+    trail = Trail()
+    var = FDVariable(trail, [0, 2, 3, 5, 7])
+    trail.push_level()
+    assert var.restrict([2, 3, 7])
+    # values outside the domain, beyond its largest value or negative drop out
+    assert var.among([7, 5, 100, 2, -1, 0, 2]) == [7, 2, 2]
+    assert var.among(set()) == []
+    trail.restore_level()
+    assert var.among([7, 5, 0]) == [7, 5, 0]
+
+
+def test_copy_is_an_independent_variable_on_the_same_trail():
+    trail = Trail()
+    template = FDVariable(trail, range(6))
+    trail.push_level()
+    assert template.restrict([1, 2, 4])
+    twin = template.copy()
+    assert twin.sorted_values() == [1, 2, 4]
+    trail.push_level()
+    assert twin.assign(2)
+    assert template.sorted_values() == [1, 2, 4]
+    assert twin.value() == 2
+    trail.restore_level()
+    assert twin.sorted_values() == [1, 2, 4]
+    trail.restore_level()
+    # the copy's own level-0 domain is the one it was copied with
+    assert template.sorted_values() == [0, 1, 2, 3, 4, 5]
+    assert twin.sorted_values() == [1, 2, 4]
+    assert twin.contains(4) and not twin.contains(0)
+
+
 def test_duplicate_init_values_collapse():
     trail = Trail()
     var = FDVariable(trail, [2, 2, 1, 1])
@@ -353,6 +386,21 @@ def test_deep_pattern_is_mined_without_recursion_limit():
     db = loads("A " * 1500 + "\n" + "A " * 1500 + "\n", min_sup=2)
     result = mine(db, MiningConfig(min_sup=2))
     assert sorted(result.patterns) == [((1,) * k, 2) for k in range(1, 1501)]
+
+
+def test_model_domains_share_one_template():
+    # a permutation of 1500 tokens and its reverse: 1500 variables of 1501
+    # values each, whose lists are copies of one template sharing its ints
+    tokens = [f"t{i}" for i in range(1500)]
+    db = build_database([tokens, tokens[::-1]], 2)
+    tracemalloc.start()
+    try:
+        model = build_model(db, MiningConfig(min_sup=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.variables) == 1500
+    assert peak < 50 * 2**20, peak / 2**20
 
 
 def test_mining_is_pure_across_repeated_calls(sdb1):

@@ -25,6 +25,8 @@ from conftest import SDB1_TEXT, engine_patterns, random_sequences
 from test_acceptance import _constraint_corpora, _constraint_suite
 
 ALL_VARIANTS = ("baseline", "ppic", "ppdc", "ppmixed")
+# the strategies that keep windows in the stacked sid/position arrays
+LIST_VARIANTS = ("baseline", "ppdc", "ppmixed")
 
 # mining SDB1 at threshold 2 yields exactly these nine patterns
 SDB1_THETA2_PATTERNS = [
@@ -56,22 +58,20 @@ def drive(db, variant, prefix, min_sup=1):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_root_window_covers_every_sequence(sdb1, variant):
     model = build_model(sdb1, MiningConfig(min_sup=1, propagator=variant))
-    proj = model.frequency.projection
-    assert proj.start.value == 0
-    assert proj.size.value == 4
-    assert proj.window() == [(1, 0), (2, 0), (3, 0), (4, 0)]
+    freq = model.frequency
+    assert freq.support() == 4
+    assert freq.window() == [(1, 0), (2, 0), (3, 0), (4, 0)]
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_window_after_first_symbol(sdb1, variant):
     model = drive(sdb1, variant, [1])  # <A>
-    proj = model.frequency.projection
-    assert proj.start.value == 4
-    assert proj.size.value == 3
-    assert proj.window() == [(1, 1), (2, 2), (3, 1)]
+    freq = model.frequency
+    assert freq.support() == 3
+    assert freq.window() == [(1, 1), (2, 2), (3, 1)]
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("variant", LIST_VARIANTS)
 def test_window_after_two_symbols_and_array_layout(sdb1, variant):
     model = drive(sdb1, variant, [1, 2])  # <A B>
     proj = model.frequency.projection
@@ -83,7 +83,7 @@ def test_window_after_two_symbols_and_array_layout(sdb1, variant):
     assert proj.poss[:10] == [0, 0, 0, 0, 1, 2, 1, 2, 3, 2]
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("variant", LIST_VARIANTS)
 def test_child_extension_leaves_parent_block_untouched(sdb1, variant):
     model = drive(sdb1, variant, [1])
     proj = model.frequency.projection
@@ -132,11 +132,12 @@ def test_projected_symbol_counts_recount(sdb1):
 
 def test_rare_symbol_projects_from_its_index():
     # X is in 3 of 1000 sequences: the root window has 1000 entries, the
-    # index of X has 3, and the regex makes <X> the only extension
+    # index of X has 3, and the regex makes <X> the only extension; the
+    # bitmap strategy walks no entries at all
     raw = [["A", "X", "B"] if i % 400 == 7 else ["A", "B"] for i in range(1000)]
     db = build_database(raw, 1)
     assert len(db.last_pos_index[db.id_of["X"]]) == 3
-    examined = {"baseline": 1000, "ppic": 3, "ppdc": 1000, "ppmixed": 3}
+    examined = {"baseline": 1000, "ppic": 0, "ppdc": 1000, "ppmixed": 3}
     for variant, entries in examined.items():
         result = mine(db, MiningConfig(min_sup=1, propagator=variant, regex="X"))
         assert result.patterns == [((db.id_of["X"],), 3)], variant
@@ -156,15 +157,16 @@ def test_index_side_child_window_equals_naive_projection(variant):
     a, x = db.id_of["A"], db.id_of["X"]
     model = drive(db, variant, [a])
     freq = model.frequency
-    assert freq.projection.size.value == 10
+    assert freq.support() == 10
     assert len(db.last_pos_index[x]) == 4  # fewer than the 10 window entries
     before = freq.entries_examined
     model.trail.push_level()
     assert model.variables[1].assign(x)
     assert freq.propagate(1)
-    assert freq.projection.window() == naive_window(db, [a, x]) == [(3, 2), (5, 3)]
-    index_side = variant in ("ppic", "ppmixed")
-    assert freq.entries_examined - before == (4 if index_side else 10)
+    assert freq.window() == naive_window(db, [a, x]) == [(3, 2), (5, 3)]
+    # ppmixed scans from the index side; the bitmaps walk no entries
+    examined = {"ppmixed": 4, "ppic": 0}.get(variant, 10)
+    assert freq.entries_examined - before == examined
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -182,18 +184,92 @@ def test_sibling_windows_with_equal_start_and_size_do_not_share_a_map(variant):
         trail.push_level()
         assert model.variables[0].assign(first)
         assert freq.propagate(0)
-        windows.append((freq.projection.start.value, freq.projection.size.value))
+        if variant in LIST_VARIANTS:
+            proj = freq.projection
+            windows.append((proj.start.value, proj.size.value))
         trail.push_level()
         assert model.variables[1].assign(x)
         assert freq.propagate(1)
-        assert freq.projection.window() == naive_window(db, [first, x])
+        assert freq.window() == naive_window(db, [first, x])
         trail.restore_level()
         trail.restore_level()
-    assert windows == [(10, 10), (10, 10)]
+    if variant in LIST_VARIANTS:
+        assert windows == [(10, 10), (10, 10)]
     config = MiningConfig(min_sup=1, propagator=variant)
     assert sorted(mine(db, config).patterns) == mine_brute_force(
         db, OracleConfig(min_sup=1)
     )
+
+
+# ------------------------------------------------------------ bitmap layout
+
+
+def test_bitmap_blocks_hold_at_sequence_and_digit_edges():
+    # each sequence is a block of len + 1 bits: the first three blocks end
+    # on CPython's 30-bit digit edges (bits 30, 61 and 93 start the next),
+    # later ones straddle them; A ends most sequences, often only there, so
+    # <A> leaves empty suffixes that still count towards its support
+    rng = random.Random(31)
+    raw = []
+    for n in (29, 30, 31, 59, 60, 61, 30, 61, 29):
+        body = rng.choices("BCDE", k=n - 1)
+        if rng.random() < 0.5:
+            body[rng.randrange(n - 1)] = "A"
+        raw.append(body + ["A"])
+    raw += [["A"], ["B"], ["A"], ["C"]]  # length-1 blocks
+    db = build_database(raw, 1)
+    a = db.id_of["A"]
+    lengths = [1, 1, 1, 1, 29, 29, 30, 30, 31, 59, 60, 61, 61]
+    assert sorted(len(s) for s in db.seqs[1:]) == lengths
+    model = drive(db, "ppic", [a])
+    only_at_end = [
+        (sid, len(seq))
+        for sid, seq in enumerate(db.seqs)
+        if a in seq[-1:] and a not in seq[:-1]
+    ]
+    assert len(only_at_end) >= 5
+    assert set(only_at_end) <= set(model.frequency.window())
+    assert model.frequency.support() == db.support([a]) == 11
+    config = OracleConfig(min_sup=2, max_len=3, length=LengthBounds(1, 3))
+    expected = mine_brute_force(db, config)
+    for variant in ALL_VARIANTS:
+        got = mine(db, MiningConfig(min_sup=2, propagator=variant, length=config.length))
+        assert sorted(got.patterns) == expected, variant
+    for prefix, _ in expected:
+        expect = naive_window(db, prefix)
+        freq = drive(db, "ppic", prefix).frequency
+        assert freq.window() == expect, prefix
+        assert freq.support() == len(expect), prefix
+        assert freq.frequencies() == projected_symbol_counts(db, expect), prefix
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("regex", ["A B", "A B C", "A C* B"])
+def test_symbols_the_regex_bars_from_the_next_slot_stay_candidates(variant, regex):
+    # after <A> only B (or C) may come next, so the frequency filter counts
+    # only those; the rest must stay candidates for the slots after it
+    raw = [["A", "B", "C"], ["A", "C", "B", "C"], ["B", "A", "C", "B"], ["C", "A"]]
+    db = build_database(raw, 2)
+    expected = mine_brute_force(db, OracleConfig(min_sup=2, regex=regex))
+    assert expected
+    config = MiningConfig(min_sup=2, propagator=variant, regex=regex)
+    assert sorted(mine(db, config).patterns) == expected
+
+
+def test_regex_query_builds_bitmaps_only_for_the_symbols_it_touches():
+    # 5000 tokens; sequence i holds the 50 from 7i on, so neighbours overlap
+    raw = [[f"t{(7 * i + j) % 5000}" for j in range(50)] for i in range(1000)]
+    db = build_database(raw, 2)
+    assert db.symbol_count == 5000
+    regex = "<t7> (<t8>|<t9>)* <t10>"
+    named = {db.id_of[t] for t in ("t7", "t8", "t9", "t10")}
+    result = mine(db, MiningConfig(min_sup=2, regex=regex))
+    reference = mine(db, MiningConfig(min_sup=2, propagator="baseline", regex=regex))
+    assert result.patterns == reference.patterns
+    assert len(result.patterns) == 4
+    bitmaps = db.bitmaps
+    assert db.id_of["t7"] in bitmaps.occ  # the root's only symbol was projected
+    assert set(bitmaps.occ) | set(bitmaps.last) <= named
 
 
 # ------------------------------------------------------------ root filtering
@@ -251,9 +327,7 @@ def test_adaptive_picks_scratch_for_rare_and_decrement_for_common(sdb1):
     assert model.variables[0].assign(4)
     assert freq.propagate(0)
     assert calls == ["lastpos"]
-    assert freq.frequencies() == projected_symbol_counts(
-        sdb1, freq.projection.window()
-    )
+    assert freq.frequencies() == projected_symbol_counts(sdb1, freq.window())
     model.trail.restore_level()
     assert freq.frequencies() == [0, 3, 4, 3, 1]
 
@@ -285,7 +359,7 @@ class Recount(Propagator):
 
     def propagate(self, depth):
         freq = self.frequency
-        expect = projected_symbol_counts(freq.db, freq.projection.window())
+        expect = projected_symbol_counts(freq.db, freq.window())
         assert freq.frequencies() == expect, depth
         self.calls += 1
         return True
@@ -300,7 +374,7 @@ def search_with(db, config, make_check):
     seen = []
 
     def sink(values):
-        seen.append((tuple(values), model.frequency.projection.size.value))
+        seen.append((tuple(values), model.frequency.support()))
 
     engine = SearchEngine(
         model.trail, model.variables, model.propagators + [check], sink
@@ -325,17 +399,19 @@ def test_self_check_recounts_at_every_node(sdb1_theta2, variant):
     assert check.calls == symbol_nodes(model, engine, patterns)
 
 
-# (solutions, nodes, failures, positions_visited and entries_examined per
-# strategy in ALL_VARIANTS order) on SDB1 at threshold 2
+# (solutions, nodes, failures, positions_visited per strategy in
+# ALL_VARIANTS order, then (entries_examined, supports_counted) per
+# strategy) on SDB1 at threshold 2; the bitmaps read no positions or
+# entries, and count only the supports of symbols not yet found infrequent
 SDB1_THETA2_COUNTERS = [
-    ({}, 9, 18, 0, (73, 39, 39, 39), (31, 28, 31, 31)),
+    ({}, 9, 18, 0, (73, 0, 39, 39), ((31, 27), (0, 19), (31, 27), (31, 27))),
     (
         {"regex": "A B* C?", "length": LengthBounds(1, 3)},
-        4, 7, 0, (31, 13, 13, 13), (13, 12, 13, 13),
+        4, 7, 0, (31, 0, 13, 13), ((13, 4), (0, 4), (13, 4), (13, 4)),
     ),
     (
         {"cardinalities": (SymbolCardinality(2, at_most=1),)},
-        7, 14, 0, (64, 33, 33, 33), (25, 22, 25, 25),
+        7, 14, 0, (64, 0, 33, 33), ((25, 17), (0, 13), (25, 17), (25, 17)),
     ),
 ]
 
@@ -347,13 +423,14 @@ SDB1_THETA2_COUNTERS = [
 def test_worked_example_search_counters_are_pinned(
     sdb1_theta2, constraints, solutions, nodes, failures, positions, entries
 ):
-    for variant, visited, examined in zip(ALL_VARIANTS, positions, entries):
+    for variant, visited, (examined, counted) in zip(ALL_VARIANTS, positions, entries):
         config = MiningConfig(min_sup=2, propagator=variant, **constraints)
         stats = mine(sdb1_theta2, config).stats
         assert stats.solution_count == solutions, variant
         assert (stats.search_nodes, stats.failures) == (nodes, failures), variant
         assert stats.positions_visited == visited, variant
         assert stats.entries_examined == examined, variant
+        assert stats.supports_counted == counted, variant
 
 
 def test_all_variants_trace_identical_search_trees(sdb1_theta2):
@@ -465,7 +542,7 @@ def test_windows_match_naive_projection_on_random_prefixes():
         expect = naive_window(db, prefix)
         for variant in ALL_VARIANTS:
             model = drive(db, variant, prefix)
-            assert model.frequency.projection.window() == expect, (
+            assert model.frequency.window() == expect, (
                 variant,
                 raw,
                 prefix,
@@ -494,6 +571,7 @@ def test_random_corpus_variants_agree_with_self_check():
 
 
 def test_lastpos_scans_no_more_positions_than_full_scan():
+    # ppmixed keeps the last-position scans; the bitmaps read no positions
     rng = random.Random(5)
     strict = False
     for trial in range(12):
@@ -501,9 +579,9 @@ def test_lastpos_scans_no_more_positions_than_full_scan():
         db = build_database(raw, 1)
         theta = max(2, db.size // 3)
         base = mine(db, MiningConfig(min_sup=theta, propagator="baseline"))
-        ppic = mine(db, MiningConfig(min_sup=theta, propagator="ppic"))
-        assert sorted(ppic.patterns) == sorted(base.patterns)
-        assert ppic.stats.positions_visited <= base.stats.positions_visited
-        if ppic.stats.positions_visited < base.stats.positions_visited:
+        lastpos = mine(db, MiningConfig(min_sup=theta, propagator="ppmixed"))
+        assert sorted(lastpos.patterns) == sorted(base.patterns)
+        assert lastpos.stats.positions_visited <= base.stats.positions_visited
+        if lastpos.stats.positions_visited < base.stats.positions_visited:
             strict = True
     assert strict
