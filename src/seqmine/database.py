@@ -3,12 +3,12 @@
 A database is an immutable collection of symbol sequences.  Symbols are
 remapped to contiguous ids 1..N in order of first appearance (0 is reserved
 as the pattern terminator), sequence ids are 1-based, and positions in the
-precomputed last-position lists and index are 1-based.  Both hold one entry
-per (sequence, distinct symbol) pair, so their size is that of the data,
-not sequences x alphabet.  Symbols whose sequence support falls below the
+last-position index and lists are 1-based.  Both hold one entry per
+(sequence, distinct symbol) pair, so their size is that of the data, not
+sequences x alphabet.  Symbols whose sequence support falls below the
 mining threshold are removed at load time; sequences emptied by that
-removal are dropped.  The vertical bitmaps of the bit-parallel strategy
-are built per symbol on first use, never at load time.
+removal are dropped.  Only the index is built at load time; the lists and
+the bit-parallel strategy's vertical bitmaps are built on first use.
 """
 
 from __future__ import annotations
@@ -57,22 +57,20 @@ def compute_last_positions(seq: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True, eq=True)
 class SequenceDatabase:
-    """Filtered, remapped sequence data plus last-position lists and index.
+    """Filtered, remapped sequence data plus its last-position index.
 
     ``seqs[sid]`` is the sequence with 1-based id `sid` (index 0 holds an
     empty placeholder).  ``names[a]`` is the original token for symbol id
-    `a`.  ``last_pos_list[sid]`` holds the pairs of
-    `compute_last_positions` and ``last_pos_index[a]`` maps each sid whose
-    sequence contains `a` to the last position of `a` in it.  The index is
-    derived from `seqs`, ``input_sequences`` is the sequence count before
-    filtering and ``dropped`` holds the input tokens that filtering removed;
-    none of them takes part in equality, and neither do the cached
+    `a`.  ``last_pos_index[a]`` maps each sid whose sequence contains `a`
+    to the last position of `a` in it.  The index is derived from `seqs`,
+    ``input_sequences`` is the sequence count before filtering and
+    ``dropped`` holds the input tokens that filtering removed; none of them
+    takes part in equality, and neither do the cached `last_pos_list` and
     `bitmaps`.
     """
 
     seqs: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
-    last_pos_list: tuple[tuple[tuple[int, int], ...], ...]
     max_len: int
     symbol_supports: tuple[int, ...]
     last_pos_index: tuple[dict[int, int], ...] = field(
@@ -94,6 +92,11 @@ class SequenceDatabase:
     @property
     def sids(self) -> range:
         return range(1, len(self.seqs))
+
+    @cached_property
+    def last_pos_list(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The `compute_last_positions` pairs of each sequence, by sid."""
+        return tuple(map(compute_last_positions, self.seqs))
 
     @cached_property
     def bitmaps(self) -> SymbolBitmaps:
@@ -124,9 +127,6 @@ class SequenceDatabase:
         ids = dict.fromkeys(self.dropped, 0)
         ids.update(self.id_of)
         return ids
-
-    def tokens(self, pattern: Sequence[int]) -> list[str]:
-        return [self.names[a] for a in pattern]
 
 
 class _BuiltOnUse(dict):
@@ -273,22 +273,23 @@ def build_database(token_seqs: Sequence[Sequence[str]], min_sup: int = 1) -> Seq
             names.append(tok)
     seqs: list[tuple[int, ...]] = [()]
     for seq in token_seqs:
-        mapped = tuple(id_of[tok] for tok in seq if tok in id_of)
+        # from a list: a tuple grown from a generator never reuses the freed
+        # tuples the interpreter keeps per size, so repeated loads pile them up
+        mapped = tuple([id_of[tok] for tok in seq if tok in id_of])
         if mapped:
             seqs.append(mapped)
     if len(seqs) == 1:
         raise EmptyDatabaseError(
             f"no sequence left after filtering at support {min_sup}"
         )
-    pair_rows = [compute_last_positions(seq) for seq in seqs]
     index: list[dict[int, int]] = [{} for _ in names]
-    for sid in range(1, len(seqs)):
-        for a, p in pair_rows[sid]:
+    for sid, seq in enumerate(seqs):
+        # a later position overwrites an earlier one: the last occurrence
+        for a, p in dict(zip(seq, range(1, len(seq) + 1))).items():
             index[a][sid] = p
     return SequenceDatabase(
         seqs=tuple(seqs),
         names=tuple(names),
-        last_pos_list=tuple(pair_rows),
         max_len=max(len(s) for s in seqs[1:]),
         # no sequence holding a surviving token is emptied, so it keeps its
         # input support

@@ -19,10 +19,9 @@ class GenerationError(ValueError):
     """Unsatisfiable generator parameters."""
 
 
-def _token_names(alphabet_size: int) -> list[str]:
-    if alphabet_size <= 26:
-        return [chr(ord("A") + i) for i in range(alphabet_size)]
-    return [f"s{i}" for i in range(1, alphabet_size + 1)]
+def _token_name(i: int, alphabet_size: int) -> str:
+    """Name of the 0-based symbol `i`: a letter in alphabets of up to 26."""
+    return chr(ord("A") + i) if alphabet_size <= 26 else f"s{i + 1}"
 
 
 def generate_dataset(
@@ -49,7 +48,6 @@ def generate_dataset(
             "alphabet too small for the requested length/sparsity"
         )
     rng = random.Random(seed)
-    names = _token_names(alphabet_size)
     low = max(1, round(mean_length * 0.5))
     high = max(low, round(mean_length * 1.5))
     length_cap = int(alphabet_size * sparsity)
@@ -58,7 +56,9 @@ def generate_dataset(
         n = min(rng.randint(low, high), length_cap)
         distinct = round(n / sparsity)
         distinct = max(1, min(distinct, n, alphabet_size))
-        pool = rng.sample(names, distinct)
+        # a draw depends only on the population's length: index i is name i
+        drawn = rng.sample(range(alphabet_size), distinct)
+        pool = [_token_name(i, alphabet_size) for i in drawn]
         seq = pool + rng.choices(pool, k=n - distinct)
         rng.shuffle(seq)
         dataset.append(seq)

@@ -1,14 +1,14 @@
-"""Trail-based backtracking kernel: reversible state, sparse-set domains, DFS.
+"""Backtracking kernel: a trail for reversible state, domains, DFS.
 
 State restoration uses an undo log (the trail).  Reversible objects record
 their previous value on first write per search level, and restoring a level
-rewinds exactly the locations written since the matching push.  Domains are
-sparse sets whose live region is delimited by a reversible size.  Removing
-one value is an O(1) swap behind the live region; `FDVariable.restrict`,
-the one bulk filter, swaps the values to keep to the front and sets the
-size once, in time linear in what is kept, not in the domain.  Restoring
-the size recovers the previous domain as a set with no per-value
-bookkeeping.
+rewinds exactly the locations written since the matching push.  The trail
+serves the propagators' own state; domains are not trailed.  A propagator
+prunes only the next variable, so the search engine recomputes instead:
+before each node's propagation pass it resets that variable to its
+template, and it branches over a snapshot of the domain.  A domain is a
+dict the filters replace, never edit, so a reset is one assignment and
+copies of a variable share its template.
 
 The search is a loop over an explicit stack, so its depth is not bounded
 by Python's recursion limit.  It runs each propagator once per node that
@@ -117,97 +117,82 @@ class ReversibleInt:
 class FDVariable:
     """Finite-domain variable over small non-negative integers.
 
-    The domain is ``_values[:size]``; ``_index`` maps a value to its slot.
-    `remove` swaps one value to the back of the live region and shrinks the
-    reversible size; `restrict` swaps the values to keep to the front and
-    shrinks the size to their count, and `assign` is its one-value case.
-    A later restore resurrects the dropped values (the live region is a
-    permutation, only its extent is trailed).  The domain never becomes
-    empty: a filter that would wipe it out leaves the domain untouched and
-    returns False.
+    The domain is the keys of a dict used as an ordered set.  A variable
+    holds two such dicts: its template, the full domain it was made with,
+    which its copies share, and the live domain.  No filter changes a dict
+    in place: `restrict`, `remove` and `assign` replace the live one, and
+    `reset` points it back at the template in O(1).  Nothing is trailed:
+    the search engine resets a variable before each propagation pass that
+    may prune it (see `SearchEngine`), so a copy costs two references, not
+    a copy of its domain.  The domain never becomes empty: a filter
+    that would wipe it out leaves the domain untouched and returns False.
     """
 
-    __slots__ = ("_trail", "_values", "_index", "_size")
+    __slots__ = ("_template", "_live")
 
-    def __init__(self, trail: Trail, values: Iterable[int]) -> None:
+    def __init__(self, values: Iterable[int]) -> None:
         vals = sorted(set(values))
         if not vals or vals[0] < 0:
             raise ValueError("domain must be a non-empty set of ints >= 0")
-        self._trail = trail
-        self._values = vals
-        self._index = [-1] * (vals[-1] + 1)
-        for slot, a in enumerate(vals):
-            self._index[a] = slot
-        self._size = ReversibleInt(trail, len(vals))
+        self._template = self._live = dict.fromkeys(vals)
 
     def copy(self) -> FDVariable:
-        """A new variable on the same trail with this one's domain.
-
-        The value and index lists are copied, not rebuilt, so copies of one
-        template share their int objects.
-        """
+        """A new variable sharing this one's template and current domain."""
         twin = FDVariable.__new__(FDVariable)
-        twin._trail = self._trail
-        twin._values = self._values[:]
-        twin._index = self._index[:]
-        twin._size = ReversibleInt(self._trail, self._size.value)
+        twin._template, twin._live = self._template, self._live
         return twin
+
+    def reset(self) -> None:
+        """Make the domain the template again."""
+        self._live = self._template
 
     @property
     def size(self) -> int:
-        return self._size.value
+        return len(self._live)
 
     def is_bound(self) -> bool:
-        return self._size.value == 1
+        return len(self._live) == 1
 
     def value(self) -> int:
-        """The assigned value; only meaningful once bound."""
-        if self._size.value != 1:
-            raise ValueError("variable is not bound")
-        return self._values[0]
+        """The assigned value; ValueError unless bound."""
+        [a] = self._live
+        return a
 
     def contains(self, a: int) -> bool:
-        if a < 0 or a >= len(self._index):
-            return False
-        slot = self._index[a]
-        return 0 <= slot < self._size.value
-
-    def _swap(self, i: int, j: int) -> None:
-        vals, index = self._values, self._index
-        vi, vj = vals[i], vals[j]
-        vals[i], vals[j] = vj, vi
-        index[vi], index[vj] = j, i
+        return a in self._live
 
     def remove(self, a: int) -> bool:
         """Drop `a` from the domain; False when that would empty it."""
-        if not self.contains(a):
+        live = self._live
+        if a not in live:
             return True
-        n = self._size.value
-        if n == 1:
+        if len(live) == 1:
             return False
-        self._swap(self._index[a], n - 1)
-        self._size.set(n - 1)
+        self._live = dict(live)
+        del self._live[a]
         return True
 
     def restrict(self, keep: Iterable[int]) -> bool:
         """Reduce the domain to its intersection with `keep`, in O(|keep|).
 
-        Kept values are swapped to the front and the reversible size is set
-        once; duplicates and values outside the domain are ignored.  False,
-        with the domain untouched, when the intersection is empty.
+        Duplicates and values outside the domain are ignored.  False, with
+        the domain untouched, when the intersection is empty.
         """
-        index, n, k = self._index, self._size.value, 0
-        for a in keep:
-            if 0 <= a < len(index) and k <= index[a] < n:
-                self._swap(index[a], k)
-                k += 1
-        if k:
-            self._size.set(k)
-        return k > 0
+        live = self._live
+        kept = {a: None for a in keep if a in live}
+        if not kept:
+            return False
+        if len(kept) < len(live):
+            self._live = kept
+        return True
 
-    def assign(self, a: int) -> bool:
-        """Reduce the domain to {a}; False when `a` is not available."""
-        return self.restrict((a,))
+    def assign(self, a: int) -> None:
+        """Reduce the domain to {a}.
+
+        `a` is not checked: the engine binds only values it took from the
+        domain when it branched.
+        """
+        self._live = {a: None}
 
     def among(self, values: Iterable[int]) -> list[int]:
         """The members of `values` that are in the domain, in their order.
@@ -215,17 +200,16 @@ class FDVariable:
         Linear in `values`, not in the domain: the cheaper side when the
         domain is the larger.
         """
-        index, n = self._index, self._size.value
-        top = len(index)
-        return [a for a in values if 0 <= a < top and 0 <= index[a] < n]
+        live = self._live
+        return [a for a in values if a in live]
 
     def values(self) -> list[int]:
         """Current domain in no particular order (a fresh list)."""
-        return self._values[: self._size.value]
+        return list(self._live)
 
     def sorted_values(self) -> list[int]:
         """Current domain in ascending order (a fresh list)."""
-        return sorted(self.values())
+        return sorted(self._live)
 
     def branch_values(self) -> list[int]:
         """Values in branching order: ascending, with 0 tried last."""
@@ -246,10 +230,11 @@ class Propagator:
     ``variables[depth]`` to a symbol, never to the 0 terminator.  All
     variables at or below `depth` are then bound to symbols.  An
     implementation may read only those bound variables and may prune only
-    the next variable, ``depth + 1``; under that contract one pass over all
-    propagators is already stable.  A propagator that leaves 0 in the next
-    domain allows the pattern to end there: the engine ends it without
-    asking again.  Failure is reported by returning False.
+    the next variable, ``depth + 1``, which the engine has just reset to
+    its template; under that contract one pass over all propagators is
+    already stable, and no pruning needs undoing.  A propagator that leaves
+    0 in the next domain allows the pattern to end there: the engine ends
+    it without asking again.  Failure is reported by returning False.
     """
 
     def propagate(self, depth: int) -> bool:
@@ -264,17 +249,19 @@ class SearchEngine:
     """Depth-first enumeration of all solutions, one propagation pass a node.
 
     Variables are branched strictly left to right; values are tried in
-    ascending order with 0 (the pattern terminator) last.  After each
-    symbol is assigned every propagator runs once, in registration order.
-    A 0 branch is a leaf: it counts as a node and consults the node hook,
-    then emits the bound prefix without touching the trail, the domain or
-    any propagator, since 0 is only left in a domain where every propagator
-    allows the pattern to end.  A solution is thus complete at a 0 branch
-    (the terminator itself is not part of it) or when the last variable is
-    filled, and it reaches the sink as the list of its nonzero values.  The
-    whole search runs inside one trail level, so all state (domains and any
-    reversible propagator state) is exactly restored afterwards, whether the
-    search finishes or is aborted by the node hook.
+    ascending order with 0 (the pattern terminator) last, from a snapshot
+    of the domain taken when the search reached the variable.  A branch
+    assigns its symbol, resets the next variable to its template and runs
+    every propagator once, in registration order.  A 0 branch is a leaf:
+    it counts as a node and consults the node hook, then emits the bound
+    prefix without touching the trail, a domain or any propagator, since 0
+    is only left in a domain where every propagator allows the pattern to
+    end.  A solution is thus complete at a 0 branch (the terminator itself
+    is not part of it) or when the last variable is filled, and it reaches
+    the sink as the list of its nonzero values.  The search starts with
+    every domain at its template and leaves it there; it runs inside one
+    trail level, so reversible propagator state is exactly restored too,
+    whether the search finishes or is aborted by the node hook.
     """
 
     def __init__(
@@ -305,6 +292,8 @@ class SearchEngine:
         self.aborted = False
         trail = self._trail
         base_depth = trail.depth
+        for var in self._vars:
+            var.reset()
         trail.push_level()
         try:
             if self._propagate(-1):
@@ -315,6 +304,8 @@ class SearchEngine:
             # an abort can unwind past open node levels: pop them all
             while trail.depth > base_depth:
                 trail.restore_level()
+            for var in self._vars:
+                var.reset()
         return self.solutions
 
     def _propagate(self, depth: int) -> bool:
@@ -340,6 +331,7 @@ class SearchEngine:
         while stack:
             depth = len(stack) - 1
             var = variables[depth]
+            nxt = variables[depth + 1] if depth + 1 < last else None
             for a in stack[-1]:
                 self.nodes += 1
                 if hook is not None and not hook():
@@ -348,12 +340,15 @@ class SearchEngine:
                     self._emit(depth)  # the terminator: a leaf
                     continue
                 trail.push_level()
-                if var.assign(a) and self._propagate(depth):
-                    if depth + 1 == last:
+                var.assign(a)
+                if nxt is not None:
+                    nxt.reset()  # undo a sibling's pruning
+                if self._propagate(depth):
+                    if nxt is None:
                         # every slot filled: the pattern ends without a terminator
                         self._emit(last)
                     else:
-                        stack.append(iter(variables[depth + 1].branch_values()))
+                        stack.append(iter(nxt.branch_values()))
                         break  # descend; this branch's level stays open
                 else:
                     self.failures += 1

@@ -4,9 +4,10 @@ The model has one variable per pattern position up to the length of the
 `min_sup`-th longest sequence (no longer pattern can be frequent), or up to
 the length maximum when that is smaller, each ranging over the symbol ids
 plus the 0 terminator (the first position may not be 0, so every mined
-pattern is non-empty).  Registered propagators run in a fixed
-order: regex, length, cardinality, then projected frequency.  Patterns are
-reported with their exact support, in depth-first branching order.
+pattern is non-empty); the later positions share one domain template.
+Registered propagators run in a fixed order: regex, length, cardinality,
+then projected frequency.  Patterns are reported with their exact
+support, in depth-first branching order.
 """
 
 from __future__ import annotations
@@ -96,11 +97,10 @@ def build_model(db: SequenceDatabase, config: MiningConfig) -> Model:
     length = db.lengths_desc[config.min_sup - 1] if config.min_sup <= db.size else 1
     if config.length is not None:
         length = min(length, config.length.max_len)
-    variables = [FDVariable(trail, range(1, n + 1))]
-    if length > 1:
-        # one template's lists are copied, so the domains share their ints
-        full = FDVariable(trail, range(0, n + 1))
-        variables += [full] + [full.copy() for _ in range(length - 2)]
+    # the copies share one template: a slot costs no domain of its own
+    full = FDVariable(range(n + 1))
+    variables = [FDVariable(range(1, n + 1))]
+    variables += [full.copy() for _ in range(length - 1)]
     propagators: list = []
     if config.regex is not None:
         dfa = compile_regex(config.regex, db.literal_ids())

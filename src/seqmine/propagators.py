@@ -4,8 +4,9 @@ The propagator enforces, over pattern variables P1..PL, that the bound
 prefix stays frequent: each node that binds a symbol extends the
 projection window by it, the search fails when the window support drops
 below the threshold, and infrequent symbols are filtered from the next
-variable only.  The 0 terminator is the search engine's: it always passes
-the filter, and no propagator runs where a pattern ends.
+variable only, which the engine resets before each pass.  The 0
+terminator is the search engine's: it always passes the filter, and no
+propagator runs where a pattern ends.
 
 The list strategies keep windows in two arrays of (sequence id, suffix
 start) entries shared by the whole search.  A child window is appended

@@ -24,6 +24,16 @@ def sdb1_theta2():
     return loads(SDB1_TEXT, min_sup=2)
 
 
+def bind(model, depth, symbol):
+    """Bind variable `depth` of `model` to `symbol` as `SearchEngine` does:
+    assign it, then reset the next variable to its template for the
+    propagators to filter."""
+    variables = model.variables
+    variables[depth].assign(symbol)
+    if depth + 1 < len(variables):
+        variables[depth + 1].reset()
+
+
 def random_sequences(
     rng: random.Random,
     max_sequences: int,

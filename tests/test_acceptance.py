@@ -31,7 +31,7 @@ from seqmine import (
 from seqmine.kernel import SearchEngine
 from seqmine.oracle import pattern_filter
 
-from conftest import SDB1_TEXT, compare_with_oracle, random_sequences
+from conftest import SDB1_TEXT, bind, compare_with_oracle, random_sequences
 from test_kernel import run_script
 
 ALL_VARIANTS = ("baseline", "ppic", "ppdc", "ppmixed")
@@ -85,12 +85,12 @@ def test_c2_projection_windows_match_worked_example():
             freq = model.frequency
             assert freq.window() == [(1, 0), (2, 0), (3, 0), (4, 0)]
             model.trail.push_level()
-            assert model.variables[0].assign(1)
+            bind(model, 0, 1)
             assert freq.propagate(0)
             assert freq.support() == 3
             assert freq.window() == [(1, 1), (2, 2), (3, 1)]
             model.trail.push_level()
-            assert model.variables[1].assign(2)
+            bind(model, 1, 2)
             assert freq.propagate(1)
             assert freq.support() == 3
             assert freq.window() == [(1, 2), (2, 3), (3, 2)]
@@ -113,7 +113,7 @@ def test_c3_projected_frequencies_along_both_counting_routes():
         for variant in ALL_VARIANTS:
             model = build_model(db, MiningConfig(min_sup=1, propagator=variant))
             model.trail.push_level()
-            assert model.variables[0].assign(1)
+            bind(model, 0, 1)
             assert model.frequency.propagate(0)
             assert model.frequency.frequencies() == [0, 0, 3, 2, 0], variant
         # the decrement route starts from whole-database supports and must
@@ -122,7 +122,7 @@ def test_c3_projected_frequencies_along_both_counting_routes():
         freq = model.frequency
         assert freq.frequencies() == [0, 3, 4, 3, 1]
         model.trail.push_level()
-        assert model.variables[0].assign(1)
+        bind(model, 0, 1)
         assert freq.propagate(0)
         assert freq.frequencies() == [0, 0, 3, 2, 0]
         model.trail.restore_level()

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from seqmine.cli import main
-from seqmine.generate import measured_sparsity
+from seqmine.generate import generate_dataset, measured_sparsity
 
 from conftest import SDB1_TEXT
 
@@ -416,6 +418,39 @@ def test_gen_respects_sparsity_target(capsys, tmp_path):
     dataset = [line.split() for line in path.read_text().splitlines()]
     got = measured_sparsity(dataset)
     assert abs(got - 2.8) / 2.8 < 0.1
+
+
+# sha256 of the output, recorded before the generator stopped naming every
+# symbol of the alphabet: letters up to 26 symbols, s1, s2, ... beyond
+GEN_DIGESTS = [
+    (
+        "--sequences 30 --alphabet 10 --mean-length 8 --seed 7",
+        "812b18d3302eed791b5ce11a75e99f7b5251ba61212adecc727ec89ad38b071b",
+    ),
+    (
+        "--sequences 40 --alphabet 500 --mean-length 12 --sparsity 1.5 --seed 11",
+        "bf3151dffb21fa13f57d68398ca2570caba706a7d4953a34a8859654e8534458",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", GEN_DIGESTS, ids=["letters", "numbered"])
+def test_gen_output_is_pinned(capsys, args, digest):
+    code, out, _ = run(capsys, "gen", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gen_names_only_the_drawn_symbols():
+    # a one-sequence dataset over a million symbols names two of them
+    tracemalloc.start()
+    try:
+        dataset = generate_dataset(1, 10**6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dataset == [["s794773", "s933489"]]
+    assert peak < 5 * 2**20, peak / 2**20
 
 
 def test_gen_defaults_to_stdout(capsys):

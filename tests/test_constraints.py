@@ -20,7 +20,7 @@ from seqmine import (
 )
 from seqmine.oracle import pattern_filter
 
-from conftest import engine_patterns, random_sequences
+from conftest import bind, engine_patterns, random_sequences
 
 
 # ------------------------------------------------------------- spec validation
@@ -78,13 +78,13 @@ def test_length_propagator_shapes_domains(sdb1_theta2):
     config = MiningConfig(min_sup=2, length=LengthBounds(2, 2))
     model = build_model(sdb1_theta2, config)
     model.trail.push_level()
-    assert model.variables[0].assign(1)
+    bind(model, 0, 1)
     for prop in model.propagators:
         assert prop.propagate(0)
     # prefix <A> is below the minimum: continuing is forced
     assert not model.variables[1].contains(0)
     model.trail.push_level()
-    assert model.variables[1].assign(2)
+    bind(model, 1, 2)
     for prop in model.propagators:
         assert prop.propagate(1)
     # the maximum is the model size: <A B> fills the last slot and is emitted
@@ -150,7 +150,7 @@ def test_excluded_symbol_is_removed_at_the_root(sdb1_theta2):
     assert not model.variables[0].contains(2)
     assert model.variables[1].contains(2)
     model.trail.push_level()
-    assert model.variables[0].assign(1)
+    bind(model, 0, 1)
     for prop in model.propagators:
         assert prop.propagate(0)
     assert not model.variables[1].contains(2)

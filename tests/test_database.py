@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import io
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,12 +66,35 @@ def test_index_holds_one_entry_per_sequence_symbol_pair():
     # table would hold 1000 x 1001 cells
     db = build_database([[f"t{i}"] for i in range(1000)])
     assert db.symbol_count == 1000
+    assert "last_pos_list" not in vars(db)  # built on first use
     entries = sum(len(idx) for idx in db.last_pos_index)
     assert entries == sum(len(pairs) for pairs in db.last_pos_list) == 1000
 
 
+def test_repeated_loads_do_not_pile_up_freed_tuples():
+    # sequences of 11-19 symbols: the tuples one load frees must be reused
+    # by the next, not kept by the interpreter (a full garbage collection
+    # would drop them, so none may run)
+    rng = random.Random(3)
+    raw = [rng.choices("ABCDEFGHIJ", k=rng.randint(11, 19)) for _ in range(500)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(3):
+            build_database(raw)
+        before = sys.getallocatedblocks()
+        for _ in range(20):
+            build_database(raw)
+        growth = sys.getallocatedblocks() - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert growth < 500, growth
+
+
 def test_database_is_hashable_and_compares_by_content():
     db, again = loads(SDB1_TEXT), loads(SDB1_TEXT)
+    assert db.last_pos_list  # a cached table takes no part in equality
     assert db == again
     assert hash(db) == hash(again)
     assert len({db, again}) == 1

@@ -1,4 +1,4 @@
-"""Trail, reversible slots, sparse-set domains, and the search engine."""
+"""Trail, reversible slots, domains and their reset, and the search engine."""
 
 from __future__ import annotations
 
@@ -113,172 +113,161 @@ def test_set_to_same_value_adds_no_entry():
 
 
 def test_domain_remove_and_assign():
-    trail = Trail()
-    var = FDVariable(trail, range(5))
+    var = FDVariable(range(5))
     assert var.size == 5
     assert var.remove(2)
     assert var.sorted_values() == [0, 1, 3, 4]
     assert not var.contains(2)
-    assert var.assign(3)
+    var.assign(3)
     assert var.is_bound()
     assert var.value() == 3
     assert var.size == 1
 
 
 def test_domain_wipeout_leaves_domain_intact():
-    trail = Trail()
-    var = FDVariable(trail, [6])
+    var = FDVariable([6])
     assert not var.remove(6)
     assert var.sorted_values() == [6]
     assert var.size == 1
 
 
-def test_assign_absent_value_fails_without_change():
-    trail = Trail()
-    var = FDVariable(trail, [1, 2])
-    assert not var.assign(5)
-    assert var.sorted_values() == [1, 2]
-
-
 def test_remove_absent_value_is_noop():
-    trail = Trail()
-    var = FDVariable(trail, [1, 2])
+    var = FDVariable([1, 2])
     assert var.remove(9)
     assert var.size == 2
 
 
-def test_domain_restore_recovers_exact_set():
-    trail = Trail()
-    var = FDVariable(trail, [0, 1, 2, 3, 4])
-    trail.push_level()
+def test_reset_recovers_the_template():
+    var = FDVariable([0, 1, 2, 3, 4])
     var.remove(1)
     var.remove(4)
-    trail.push_level()
     var.assign(2)
     assert var.sorted_values() == [2]
-    trail.restore_level()
-    assert var.sorted_values() == [0, 2, 3]
-    trail.restore_level()
+    var.reset()
+    assert var.sorted_values() == [0, 1, 2, 3, 4]
+    assert var.restrict([3, 0])
+    var.reset()
     assert var.sorted_values() == [0, 1, 2, 3, 4]
 
 
 def test_branch_values_put_zero_last():
-    trail = Trail()
-    var = FDVariable(trail, [0, 3, 1])
+    var = FDVariable([0, 3, 1])
     assert var.branch_values() == [1, 3, 0]
-    var_nz = FDVariable(trail, [2, 1])
+    var_nz = FDVariable([2, 1])
     assert var_nz.branch_values() == [1, 2]
 
 
 def test_restrict_keeps_the_intersection_and_handles_edge_cases():
-    trail = Trail()
-    var = FDVariable(trail, [0, 2, 3, 5, 7])
-    trail.push_level()
+    var = FDVariable([0, 2, 3, 5, 7])
     # duplicates, absent values and values beyond the largest one are ignored
     assert var.restrict([5, 5, 4, 9, 100, 2, -1, 2])
     assert var.sorted_values() == [2, 5]
     assert not var.contains(0) and not var.contains(7)
-    entries = trail.entry_count
-    # an empty intersection fails and changes neither domain nor trail
+    # an empty intersection fails and leaves the domain as it was
     assert not var.restrict([0, 3, 7, 8])
     assert var.sorted_values() == [2, 5]
-    assert trail.entry_count == entries
-    # a restrict to the whole domain writes nothing
     assert var.restrict([2, 5, 6])
-    assert trail.entry_count == entries
-    trail.push_level()
+    assert var.sorted_values() == [2, 5]
     assert var.restrict((5,))
     assert var.is_bound() and var.value() == 5
-    trail.restore_level()
-    assert var.sorted_values() == [2, 5]
-    # the restrict made below the first level is undone with it
-    trail.restore_level()
-    assert var.sorted_values() == [0, 2, 3, 5, 7]
 
 
 def test_among_keeps_the_domain_members_in_order():
-    trail = Trail()
-    var = FDVariable(trail, [0, 2, 3, 5, 7])
-    trail.push_level()
+    var = FDVariable([0, 2, 3, 5, 7])
     assert var.restrict([2, 3, 7])
     # values outside the domain, beyond its largest value or negative drop out
     assert var.among([7, 5, 100, 2, -1, 0, 2]) == [7, 2, 2]
     assert var.among(set()) == []
-    trail.restore_level()
+    var.reset()
     assert var.among([7, 5, 0]) == [7, 5, 0]
 
 
-def test_copy_is_an_independent_variable_on_the_same_trail():
-    trail = Trail()
-    template = FDVariable(trail, range(6))
-    trail.push_level()
+def test_copy_shares_the_template_and_filters_alone():
+    template = FDVariable(range(6))
     assert template.restrict([1, 2, 4])
     twin = template.copy()
     assert twin.sorted_values() == [1, 2, 4]
-    trail.push_level()
-    assert twin.assign(2)
+    twin.assign(2)
     assert template.sorted_values() == [1, 2, 4]
     assert twin.value() == 2
-    trail.restore_level()
-    assert twin.sorted_values() == [1, 2, 4]
-    trail.restore_level()
-    # the copy's own level-0 domain is the one it was copied with
+    # a reset goes back to the shared template, not to the copied domain
+    twin.reset()
+    assert twin.sorted_values() == [0, 1, 2, 3, 4, 5]
+    assert template.sorted_values() == [1, 2, 4]
+    template.reset()
+    # filters replace the shared template, never edit it
+    assert template.remove(4) and template.restrict([0, 1, 4, 5])
+    assert template.sorted_values() == [0, 1, 5]
+    assert twin.sorted_values() == [0, 1, 2, 3, 4, 5]
+    template.reset()
     assert template.sorted_values() == [0, 1, 2, 3, 4, 5]
-    assert twin.sorted_values() == [1, 2, 4]
-    assert twin.contains(4) and not twin.contains(0)
 
 
 def test_duplicate_init_values_collapse():
-    trail = Trail()
-    var = FDVariable(trail, [2, 2, 1, 1])
+    var = FDVariable([2, 2, 1, 1])
     assert var.sorted_values() == [1, 2]
 
 
 # ------------------------------------------------- randomized snapshot oracle
 
 
-def snapshot(ints, doms):
-    return (
-        tuple(slot.value for slot in ints),
-        tuple(frozenset(var.sorted_values()) for var in doms),
-    )
-
-
 def run_script(seed: int, operations: int) -> None:
-    """Drive random trailed mutations and check every restore against a
-    full-copy snapshot taken at the matching push."""
+    """Drive random trailed writes and domain filters.  Every trail restore
+    is checked against a full-copy snapshot of the reversible ints taken at
+    the matching push, and every domain operation against a plain-set
+    model of the domain and of the template it resets to."""
     rng = random.Random(seed)
     trail = Trail()
     ints = [ReversibleInt(trail, rng.randint(0, 9)) for _ in range(6)]
-    doms = [FDVariable(trail, range(rng.randint(1, 10))) for _ in range(6)]
+    doms = []
+    models = []  # [template set, live set] per domain
+    for _ in range(6):
+        full = set(range(rng.randint(1, 10)))
+        doms.append(FDVariable(full))
+        models.append([full, set(full)])
     stack = []
     for _ in range(operations):
         op = rng.random()
+        k = rng.randrange(len(doms))
+        var, model = doms[k], models[k]
         if op < 0.15:
-            stack.append(snapshot(ints, doms))
+            stack.append(tuple(slot.value for slot in ints))
             trail.push_level()
         elif op < 0.3 and stack:
             trail.restore_level()
-            assert snapshot(ints, doms) == stack.pop()
-        elif op < 0.6:
+            assert tuple(slot.value for slot in ints) == stack.pop()
+        elif op < 0.55:
             rng.choice(ints).set(rng.randint(0, 99))
-        elif op < 0.75:
-            rng.choice(doms).remove(rng.randint(0, 10))
-        elif op < 0.9:
-            var = rng.choice(doms)
-            before = frozenset(var.sorted_values())
+        elif op < 0.7:
+            a = rng.randint(0, 10)
+            expect = model[1] - {a}
+            assert var.remove(a) == bool(expect)
+            model[1] = expect or model[1]
+        elif op < 0.85:
             keep = [rng.randint(0, 11) for _ in range(rng.randint(0, 6))]
-            expect = before & set(keep)
+            expect = model[1] & set(keep)
             assert var.restrict(keep) == bool(expect)
-            assert set(var.sorted_values()) == (expect or before)
-        else:
-            var = rng.choice(doms)
-            values = var.sorted_values()
-            var.assign(rng.choice(values))
+            model[1] = expect or model[1]
+        elif op < 0.93:
+            a = rng.choice(var.values())
+            var.assign(a)
+            model[1] = {a}
+        elif op < 0.98:
+            var.reset()
+            model[1] = set(model[0])
+        elif len(doms) < 12:
+            doms.append(var.copy())
+            models.append([model[0], set(model[1])])
+        assert set(var.values()) == model[1]
+        assert var.size == len(model[1])
     while stack:
         trail.restore_level()
-        assert snapshot(ints, doms) == stack.pop()
+        assert tuple(slot.value for slot in ints) == stack.pop()
     assert trail.depth == 0
+    for var, (full, live) in zip(doms, models):
+        assert set(var.values()) == live
+        var.reset()
+        assert set(var.values()) == full
 
 
 @settings(max_examples=20, deadline=None)
@@ -309,8 +298,8 @@ class ForbidPair(Propagator):
 
 def build_toy_engine(sink):
     trail = Trail()
-    x = FDVariable(trail, [1, 2])
-    y = FDVariable(trail, [1, 2])
+    x = FDVariable([1, 2])
+    y = FDVariable([1, 2])
     engine = SearchEngine(trail, [x, y], [ForbidPair(x, y)], sink)
     return trail, (x, y), engine
 
@@ -339,7 +328,7 @@ def test_engine_restores_state_and_reruns_identically():
 
 def test_engine_counts_failures():
     trail = Trail()
-    x = FDVariable(trail, [1, 2])
+    x = FDVariable([1, 2])
 
     class FailAlways(Propagator):
         def propagate(self, depth: int) -> bool:
@@ -389,9 +378,9 @@ def test_deep_pattern_is_mined_without_recursion_limit():
 
 
 def test_model_domains_share_one_template():
-    # a permutation of 1500 tokens and its reverse: 1500 variables of 1501
-    # values each, whose lists are copies of one template sharing its ints
-    tokens = [f"t{i}" for i in range(1500)]
+    # a permutation of 3000 tokens and its reverse: 3000 variables over 3001
+    # values each, which share one template instead of holding a copy
+    tokens = [f"t{i}" for i in range(3000)]
     db = build_database([tokens, tokens[::-1]], 2)
     tracemalloc.start()
     try:
@@ -399,8 +388,8 @@ def test_model_domains_share_one_template():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model.variables) == 1500
-    assert peak < 50 * 2**20, peak / 2**20
+    assert len(model.variables) == 3000
+    assert peak < 5 * 2**20, peak / 2**20
 
 
 def test_mining_is_pure_across_repeated_calls(sdb1):

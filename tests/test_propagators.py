@@ -21,7 +21,7 @@ from seqmine import (
 from seqmine.kernel import Propagator, SearchEngine
 from seqmine.propagators import projected_symbol_counts
 
-from conftest import SDB1_TEXT, engine_patterns, random_sequences
+from conftest import SDB1_TEXT, bind, engine_patterns, random_sequences
 from test_acceptance import _constraint_corpora, _constraint_suite
 
 ALL_VARIANTS = ("baseline", "ppic", "ppdc", "ppmixed")
@@ -47,7 +47,7 @@ def drive(db, variant, prefix, min_sup=1):
     model = build_model(db, MiningConfig(min_sup=min_sup, propagator=variant))
     model.trail.push_level()
     for depth, symbol in enumerate(prefix):
-        assert model.variables[depth].assign(symbol)
+        bind(model, depth, symbol)
         assert model.frequency.propagate(depth)
     return model
 
@@ -89,7 +89,7 @@ def test_child_extension_leaves_parent_block_untouched(sdb1, variant):
     proj = model.frequency.projection
     parent = (list(proj.sids[4:7]), list(proj.poss[4:7]))
     model.trail.push_level()
-    assert model.variables[1].assign(2)
+    bind(model, 1, 2)
     assert model.frequency.propagate(1)
     assert (list(proj.sids[4:7]), list(proj.poss[4:7])) == parent
     model.trail.restore_level()
@@ -116,7 +116,7 @@ def test_infrequent_symbols_filtered_from_next_variable_only(sdb1, variant):
 def test_extension_fails_when_support_drops_below_threshold(sdb1, variant):
     model = build_model(sdb1, MiningConfig(min_sup=2, propagator=variant))
     model.trail.push_level()
-    assert model.variables[0].assign(4)  # D appears once
+    bind(model, 0, 4)  # D appears once
     assert not model.frequency.propagate(0)
 
 
@@ -161,7 +161,7 @@ def test_index_side_child_window_equals_naive_projection(variant):
     assert len(db.last_pos_index[x]) == 4  # fewer than the 10 window entries
     before = freq.entries_examined
     model.trail.push_level()
-    assert model.variables[1].assign(x)
+    bind(model, 1, x)
     assert freq.propagate(1)
     assert freq.window() == naive_window(db, [a, x]) == [(3, 2), (5, 3)]
     # ppmixed scans from the index side; the bitmaps walk no entries
@@ -182,13 +182,13 @@ def test_sibling_windows_with_equal_start_and_size_do_not_share_a_map(variant):
     windows = []
     for first in (a, b):
         trail.push_level()
-        assert model.variables[0].assign(first)
+        bind(model, 0, first)
         assert freq.propagate(0)
         if variant in LIST_VARIANTS:
             proj = freq.projection
             windows.append((proj.start.value, proj.size.value))
         trail.push_level()
-        assert model.variables[1].assign(x)
+        bind(model, 1, x)
         assert freq.propagate(1)
         assert freq.window() == naive_window(db, [first, x])
         trail.restore_level()
@@ -297,7 +297,7 @@ def test_decrement_counters_follow_window_and_restore(sdb1):
     freq = model.frequency
     assert freq.frequencies() == [0, 3, 4, 3, 1]
     model.trail.push_level()
-    assert model.variables[0].assign(1)
+    bind(model, 0, 1)
     assert freq.propagate(0)
     assert freq.frequencies() == [0, 0, 3, 2, 0]
     model.trail.restore_level()
@@ -324,7 +324,7 @@ def test_adaptive_picks_scratch_for_rare_and_decrement_for_common(sdb1):
 
     # D survives in 1 of 4 suffixes: 2*1 < 4 selects the scratch recount
     model.trail.push_level()
-    assert model.variables[0].assign(4)
+    bind(model, 0, 4)
     assert freq.propagate(0)
     assert calls == ["lastpos"]
     assert freq.frequencies() == projected_symbol_counts(sdb1, freq.window())
@@ -334,7 +334,7 @@ def test_adaptive_picks_scratch_for_rare_and_decrement_for_common(sdb1):
     # B survives in 4 of 4: 2*4 >= 4 keeps the decrement pass
     calls.clear()
     model.trail.push_level()
-    assert model.variables[0].assign(2)
+    bind(model, 0, 2)
     assert freq.propagate(0)
     assert calls == ["decrement"]
     model.trail.restore_level()
