@@ -8,7 +8,9 @@ the values allowed (the live symbols of the automaton state for the
 regex).  A length maximum needs no propagator: the model has no more
 variables than the maximum.  The search engine ends a pattern where a
 branch takes 0 and runs no propagator there, so a propagator sees only
-symbols and says where a pattern may end by keeping or removing 0.
+symbols and says where a pattern may end by keeping or removing 0.  The
+regex constraint keeps its automaton states in per-depth slots, like the
+frequency propagator's windows, so backtracking undoes nothing.
 """
 
 from __future__ import annotations
@@ -78,8 +80,9 @@ class PatternLength(Propagator):
         length = depth + 1
         if length >= self.bounds.min_len:
             return True
-        # too short: continuing is forced, so the next slot must exist
-        return length < len(variables) and variables[length].remove(0)
+        # too short: continuing is forced, and the model must have room for
+        # the minimum (at the root this fails a minimum no pattern can meet)
+        return len(variables) >= self.bounds.min_len and variables[length].remove(0)
 
 
 class CardinalityConstraint(Propagator):
@@ -120,14 +123,14 @@ class RegularConstraint(Propagator):
     Keeps the automaton state of each bound prefix in a per-depth list:
     ``_states[k]`` is the state after the first k symbols.  The search
     binds one variable per node, and a node only reads the entry its parent
-    wrote, so the list needs no trail; a re-run at the same node rewrites
-    the same entry.  The next domain is restricted to the state's live
-    symbols after which acceptance is still reachable within the pattern
-    slots left (a prefix of `live`, which is ordered by that distance),
-    plus the terminator when the state already accepts.  No acceptance
-    check is needed when a pattern ends: 0 is kept only at accepting
-    states, and at the last slot the budget of 0 steps kept only symbols
-    whose successor accepts.
+    wrote, so backtracking undoes nothing; a re-run at the same node
+    rewrites the same entry.  The next domain is restricted to the state's
+    live symbols after which acceptance is still reachable within the
+    pattern slots left (a prefix of `live`, which is ordered by that
+    distance), plus the terminator when the state already accepts.  No
+    acceptance check is needed when a pattern ends: 0 is kept only at
+    accepting states, and at the last slot the budget of 0 steps kept only
+    symbols whose successor accepts.
     """
 
     def __init__(self, dfa: PatternDFA, variables: Sequence[FDVariable]) -> None:

@@ -1,14 +1,17 @@
-"""Backtracking kernel: a trail for reversible state, domains, DFS.
+"""Backtracking kernel: domains, the propagator contract and DFS.
 
-State restoration uses an undo log (the trail).  Reversible objects record
-their previous value on first write per search level, and restoring a level
-rewinds exactly the locations written since the matching push.  The trail
-serves the propagators' own state; domains are not trailed.  A propagator
-prunes only the next variable, so the search engine recomputes instead:
-before each node's propagation pass it resets that variable to its
-template, and it branches over a snapshot of the domain.  A domain is a
-dict the filters replace, never edit, so a reset is one assignment and
-copies of a variable share its template.
+Nothing is trailed.  The search binds one variable per depth, left to
+right, so backtracking never has to undo a write: it only has to stop
+reading it.  A propagator keeps its own state in per-depth slots:
+``propagate(depth)`` reads slot `depth`, written by the node's parent (or
+set up at construction for the root), and writes slot ``depth + 1``.  A
+node reads only the slots its ancestors wrote, and a sibling overwrites
+the slot a backtracked branch left.  Domains follow the same rule: a
+propagator prunes only the next variable, so before each node's
+propagation pass the search engine resets that variable to its template,
+and it branches over a snapshot of the domain.  A domain is a dict the
+filters replace, never edit, so a reset is one assignment and copies of a
+variable share its template.
 
 The search is a loop over an explicit stack, so its depth is not bounded
 by Python's recursion limit.  It runs each propagator once per node that
@@ -25,93 +28,10 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
-    "Trail",
-    "TrailUnderflow",
-    "ReversibleInt",
     "FDVariable",
     "Propagator",
     "SearchEngine",
 ]
-
-
-class TrailUnderflow(Exception):
-    """restore_level() was called with no open level."""
-
-
-class Trail:
-    """Undo log with level marks.
-
-    Writes below an open level append (location, previous value) entries;
-    ``restore_level`` pops the entries above the matching mark in reverse
-    order.  A location is saved at most once per level: each slot carries a
-    stamp compared against a counter that changes on every push and restore.
-    Writes made while no level is open are permanent.
-    """
-
-    def __init__(self) -> None:
-        self._entries: list = []
-        self._marks: list[int] = []
-        self._magic = 1
-
-    @property
-    def depth(self) -> int:
-        """Number of currently open levels."""
-        return len(self._marks)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
-
-    def level_mark(self, level: int) -> int:
-        """Entry count recorded when `level` was pushed."""
-        return self._marks[level]
-
-    def push_level(self) -> int:
-        """Open a new level and return its id (0 for the first push)."""
-        self._marks.append(len(self._entries))
-        self._magic += 1
-        return len(self._marks) - 1
-
-    def restore_level(self) -> None:
-        """Undo every write made since the most recent push, newest first."""
-        if not self._marks:
-            raise TrailUnderflow("no open level to restore")
-        mark = self._marks.pop()
-        entries = self._entries
-        for i in range(len(entries) - 1, mark - 1, -1):
-            slot, value = entries[i]
-            slot._value = value
-        del entries[mark:]
-        self._magic += 1
-
-    def save(self, slot) -> None:
-        """Record `slot`'s current value unless already saved at this level."""
-        if self._marks and slot._stamp != self._magic:
-            slot._stamp = self._magic
-            self._entries.append((slot, slot._value))
-
-
-class ReversibleInt:
-    """Integer restored to its previous value on backtrack."""
-
-    __slots__ = ("_trail", "_value", "_stamp")
-
-    def __init__(self, trail: Trail, value: int = 0) -> None:
-        self._trail = trail
-        self._value = value
-        self._stamp = 0
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def set(self, value: int) -> None:
-        if value != self._value:
-            self._trail.save(self)
-            self._value = value
-
-    def __repr__(self) -> str:
-        return f"ReversibleInt({self._value})"
 
 
 class FDVariable:
@@ -232,9 +152,14 @@ class Propagator:
     implementation may read only those bound variables and may prune only
     the next variable, ``depth + 1``, which the engine has just reset to
     its template; under that contract one pass over all propagators is
-    already stable, and no pruning needs undoing.  A propagator that leaves
-    0 in the next domain allows the pattern to end there: the engine ends
-    it without asking again.  Failure is reported by returning False.
+    already stable, and no pruning needs undoing.  State of its own goes
+    in per-depth slots, slot k for the prefix of length k (slot 0, the
+    empty prefix, set up before the search): a call at a node reads slot
+    `depth` and writes slot ``depth + 1``, so a sibling, or a re-run at
+    the same node, overwrites the same slot and backtracking undoes
+    nothing.  A propagator that leaves 0 in the next domain allows the
+    pattern to end there: the engine ends it without asking again.
+    Failure is reported by returning False.
     """
 
     def propagate(self, depth: int) -> bool:
@@ -254,24 +179,23 @@ class SearchEngine:
     assigns its symbol, resets the next variable to its template and runs
     every propagator once, in registration order.  A 0 branch is a leaf:
     it counts as a node and consults the node hook, then emits the bound
-    prefix without touching the trail, a domain or any propagator, since 0
-    is only left in a domain where every propagator allows the pattern to
-    end.  A solution is thus complete at a 0 branch (the terminator itself
-    is not part of it) or when the last variable is filled, and it reaches
-    the sink as the list of its nonzero values.  The search starts with
-    every domain at its template and leaves it there; it runs inside one
-    trail level, so reversible propagator state is exactly restored too,
-    whether the search finishes or is aborted by the node hook.
+    prefix without touching a domain or any propagator, since 0 is only
+    left in a domain where every propagator allows the pattern to end.  A
+    solution is thus complete at a 0 branch (the terminator itself is not
+    part of it) or when the last variable is filled, and it reaches the
+    sink as the list of its nonzero values.  Backtracking undoes
+    nothing: the propagators keep per-depth slots (see `Propagator`), and
+    the next domain is reset before each pass.  The search starts with
+    every domain at its template and leaves it there, whether it finishes
+    or is aborted by the node hook.
     """
 
     def __init__(
         self,
-        trail: Trail,
         variables: Sequence[FDVariable],
         propagators: Sequence[Propagator],
         solution_sink: Callable[[list[int]], None] | None = None,
     ) -> None:
-        self._trail = trail
         self._vars = list(variables)
         self._propagators = list(propagators)
         self._sink = solution_sink
@@ -290,20 +214,14 @@ class SearchEngine:
         """
         self.nodes = self.failures = self.solutions = 0
         self.aborted = False
-        trail = self._trail
-        base_depth = trail.depth
         for var in self._vars:
             var.reset()
-        trail.push_level()
         try:
             if self._propagate(-1):
                 self._search()
         except _Abort:
             self.aborted = True
         finally:
-            # an abort can unwind past open node levels: pop them all
-            while trail.depth > base_depth:
-                trail.restore_level()
             for var in self._vars:
                 var.reset()
         return self.solutions
@@ -315,17 +233,13 @@ class SearchEngine:
         return True
 
     def _search(self) -> None:
-        """Depth-first loop over a stack of branch iterators, one per depth.
-
-        A branch's trail level stays open while its child depth is on the
-        stack, so the pattern length is not limited by Python's recursion.
-        """
+        """Depth-first loop over a stack of branch iterators, one per depth,
+        so the pattern length is not limited by Python's recursion."""
         variables = self._vars
         last = len(variables)
         if last == 0:
             self._emit(0)
             return
-        trail = self._trail
         hook = self.node_hook
         stack = [iter(variables[0].branch_values())]
         while stack:
@@ -339,7 +253,6 @@ class SearchEngine:
                 if a == 0:
                     self._emit(depth)  # the terminator: a leaf
                     continue
-                trail.push_level()
                 var.assign(a)
                 if nxt is not None:
                     nxt.reset()  # undo a sibling's pruning
@@ -349,14 +262,11 @@ class SearchEngine:
                         self._emit(last)
                     else:
                         stack.append(iter(nxt.branch_values()))
-                        break  # descend; this branch's level stays open
+                        break  # descend
                 else:
                     self.failures += 1
-                trail.restore_level()
             else:
                 stack.pop()
-                if stack:
-                    trail.restore_level()  # the parent branch is done
 
     def _emit(self, length: int) -> None:
         self.solutions += 1

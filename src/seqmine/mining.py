@@ -24,7 +24,7 @@ from .constraints import (
     SymbolCardinality,
 )
 from .database import SequenceDatabase
-from .kernel import FDVariable, SearchEngine, Trail
+from .kernel import FDVariable, SearchEngine
 from .propagators import PROPAGATORS, ProjectionPropagator
 from .regex import compile_regex
 
@@ -82,7 +82,6 @@ class MiningResult:
 class Model(NamedTuple):
     """A ready-to-search mining model."""
 
-    trail: Trail
     variables: list[FDVariable]
     propagators: list
     frequency: ProjectionPropagator
@@ -90,7 +89,6 @@ class Model(NamedTuple):
 
 def build_model(db: SequenceDatabase, config: MiningConfig) -> Model:
     """Create variables and propagators for mining `db` under `config`."""
-    trail = Trail()
     n = db.symbol_count
     # a pattern occurs only in sequences at least as long as it; past the
     # sequence count nothing is frequent, and one variable finds that out
@@ -109,9 +107,9 @@ def build_model(db: SequenceDatabase, config: MiningConfig) -> Model:
         propagators.append(PatternLength(config.length, variables))
     for spec in config.cardinalities:
         propagators.append(CardinalityConstraint(spec, variables))
-    frequency = PROPAGATORS[config.propagator](db, variables, config.min_sup, trail)
+    frequency = PROPAGATORS[config.propagator](db, variables, config.min_sup)
     propagators.append(frequency)
-    return Model(trail, variables, propagators, frequency)
+    return Model(variables, propagators, frequency)
 
 
 def mine(
@@ -134,13 +132,13 @@ def mine(
 
     def sink(values: list[int]) -> None:
         pattern = tuple(values)
-        support = frequency.support()
+        support = frequency.support(len(values))
         if on_pattern is not None:
             on_pattern(pattern, support)
         else:
             result.patterns.append((pattern, support))
 
-    engine = SearchEngine(model.trail, model.variables, model.propagators, sink)
+    engine = SearchEngine(model.variables, model.propagators, sink)
     engine.node_hook = node_hook
     engine.solve_all()
     elapsed = (time.perf_counter() - started) * 1000.0

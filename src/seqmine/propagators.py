@@ -8,11 +8,14 @@ variable only, which the engine resets before each pass.  The 0
 terminator is the search engine's: it always passes the filter, and no
 propagator runs where a pattern ends.
 
-The list strategies keep windows in two arrays of (sequence id, suffix
-start) entries shared by the whole search.  A child window is appended
-right after its parent, never overwriting live entries, so the only
-reversible state is the pair of integers delimiting the live block; suffix
-starts are 0-based indexes of the first element after the matched prefix.
+All state is kept in per-depth slots, slot f for the prefix of length f:
+a node reads the slot its parent wrote and writes its own, so nothing is
+trailed and backtracking undoes nothing.  The list strategies keep windows
+in two arrays of (sequence id, suffix start) entries shared by the whole
+search.  A child window is appended right after its parent, never
+overwriting an ancestor's entries, so a window's slot holds only the pair
+of integers delimiting its block; suffix starts are 0-based indexes of the
+first element after the matched prefix.
 Windows and the last-position index are both in ascending sequence-id
 order, so a projection may walk either one and build the same child
 window.  The bitmap strategy keeps one Python int per depth instead, over
@@ -27,8 +30,9 @@ Four interchangeable projection strategies are provided:
                   counts a symbol as the popcount of the window and its
                   last-occurrence bitmap, only while the symbol has not
                   been counted below the threshold on the branch,
-* ``ppdc``      - keeps reversible per-symbol counters, decremented by a
-                  walk of the last-position list,
+* ``ppdc``      - keeps per-symbol counters per depth: a copy of the
+                  parent's, decremented by a walk of the last-position
+                  list,
 * ``ppmixed``   - picks per node between ``ppdc`` and a scratch recount
                   that skips exhausted sequences via the last-position
                   index (walking the symbol's index instead of the window
@@ -46,7 +50,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .database import SequenceDatabase
-from .kernel import FDVariable, Propagator, ReversibleInt, Trail
+from .kernel import FDVariable, Propagator
 
 __all__ = [
     "PseudoProjection",
@@ -64,12 +68,14 @@ __all__ = [
 class PseudoProjection:
     """Stacked projection windows over growable sid/position arrays.
 
-    The live window is ``sids[start:start+size]`` with parallel suffix
-    starts in `poss`, in ascending sid order.  Initially it covers every
-    sequence with position 0.  Entries at or beyond ``start + size`` are
-    dead (left by backtracked children): `open_child` truncates the arrays
-    there, the scan appends the child window, and `close_child` makes it
-    the live one.
+    ``bounds[f] = (lo, hi)`` delimits the window of the prefix of length f:
+    ``sids[lo:hi]``, with parallel suffix starts in `poss`, in ascending sid
+    order.  ``bounds[0]`` covers every sequence with position 0.  Each
+    window is appended right after its parent's block, so the blocks of
+    its ancestors lie below it, and entries past the parent's ``hi`` are
+    dead (left by backtracked branches): `open_child` truncates the arrays
+    there, the scan appends the child window, and `close_child` records
+    its bounds.
 
     `window_map` gives a window's ``{sid: suffix start}`` map, built on
     first use and shared by the window's children.  The maps form a stack
@@ -79,33 +85,30 @@ class PseudoProjection:
     created there may be a sibling with the same start, even the same size.
     """
 
-    def __init__(self, trail: Trail, db: SequenceDatabase) -> None:
+    def __init__(self, db: SequenceDatabase, slots: int) -> None:
         m = db.size
         self.sids: list[int] = list(db.sids)
         self.poss: list[int] = [0] * m
-        self.start = ReversibleInt(trail, 0)
-        self.size = ReversibleInt(trail, m)
+        self.bounds: list[tuple[int, int]] = [(0, m)] * slots
         self._maps: list[tuple[int, dict[int, int]]] = []
 
-    def open_child(self) -> tuple[int, int]:
-        """Bounds ``lo, hi`` of the live window; the child is appended at hi.
+    def open_child(self, f: int) -> tuple[int, int]:
+        """Bounds ``lo, hi`` of window ``f - 1``; window f is appended at hi.
 
         Drops the dead entries and the maps of windows at or past hi.
         """
-        lo = self.start.value
-        hi = lo + self.size.value
+        lo, hi = self.bounds[f - 1]
         del self.sids[hi:], self.poss[hi:]
         maps = self._maps
         while maps and maps[-1][0] >= hi:
             maps.pop()
         return lo, hi
 
-    def close_child(self, hi: int) -> int:
-        """Make the entries appended past `hi` the live window; its size."""
-        sup = len(self.sids) - hi
-        self.start.set(hi)
-        self.size.set(sup)
-        return sup
+    def close_child(self, f: int, hi: int) -> int:
+        """Make the entries appended past `hi` window f; its size."""
+        end = len(self.sids)
+        self.bounds[f] = (hi, end)
+        return end - hi
 
     def window_map(self, lo: int, hi: int) -> dict[int, int]:
         """``{sid: suffix start}`` of the window ``sids[lo:hi]``."""
@@ -116,10 +119,9 @@ class PseudoProjection:
         maps.append((lo, where))
         return where
 
-    def window(self) -> list[tuple[int, int]]:
-        """Live window as (sid, suffix start) pairs."""
-        lo = self.start.value
-        hi = lo + self.size.value
+    def window(self, f: int) -> list[tuple[int, int]]:
+        """Window f as (sid, suffix start) pairs."""
+        lo, hi = self.bounds[f]
         return list(zip(self.sids[lo:hi], self.poss[lo:hi]))
 
 
@@ -146,12 +148,15 @@ def projected_symbol_counts(
 class ProjectionPropagator(Propagator):
     """Shared machinery: the frequency filter's protocol and counters.
 
-    ``propagate(depth)`` projects the live window by the symbol bound at
-    `depth`, then the frequencies of the new window filter the domain of
-    the next variable; earlier variables are never touched.  The trailed
-    `prefix_len` is the length of the projected prefix, so a re-run at the
-    same node sees the projection done and changes nothing.  At the root
-    (depth -1) the database supports filter the first variable.
+    ``propagate(depth)`` projects window `depth`, of the prefix before the
+    symbol bound at `depth`, by that symbol into window ``f = depth + 1``;
+    then the frequencies of window f filter the domain of variable f, and
+    earlier variables are never touched.  Window f and its frequencies are
+    slot f of per-depth state, so a re-run at the same node rewrites the
+    same slot (only the work counters count twice), and the windows of the
+    bound prefix's own prefixes stay readable through `support`, `window`
+    and `frequencies`.  Slot 0 is the database, and at the root (depth -1)
+    the database supports filter the first variable.
 
     `positions_visited` counts sequence elements read while scanning
     (matching and, for the baseline, counting); reads of the precomputed
@@ -167,15 +172,12 @@ class ProjectionPropagator(Propagator):
         db: SequenceDatabase,
         variables: Sequence[FDVariable],
         min_sup: int,
-        trail: Trail,
     ) -> None:
         if min_sup < 1:
             raise ValueError("min_sup must be at least 1")
         self.db = db
         self.vars = list(variables)
         self.min_sup = min_sup
-        self.trail = trail
-        self.prefix_len = ReversibleInt(trail, 0)
         self.positions_visited = 0
         self.entries_examined = 0
         self.supports_counted = 0
@@ -184,25 +186,26 @@ class ProjectionPropagator(Propagator):
     # -- strategy hooks ---------------------------------------------------
 
     def _extend(self, a: int, f: int) -> bool:
-        """Project the live window of prefix length ``f - 1`` by symbol `a`;
-        False when the support drops below the threshold."""
+        """Project window ``f - 1`` by symbol `a` into window `f`; False when
+        the support drops below the threshold."""
         raise NotImplementedError
 
     def _filter(self, f: int) -> bool:
-        """Keep the symbols frequent in the window of prefix length `f` in
-        the domain of variable `f`, with 0; False when that empties it."""
+        """Keep the symbols frequent in window `f` in the domain of variable
+        `f`, with 0; False when that empties it."""
         raise NotImplementedError
 
-    def support(self) -> int:
-        """Number of sequences in the live window."""
+    def support(self, f: int) -> int:
+        """Number of sequences in the window of the bound prefix of length
+        `f` (0 for the database)."""
         raise NotImplementedError
 
-    def window(self) -> list[tuple[int, int]]:
-        """Live window as (sid, suffix start) pairs in ascending sid order."""
+    def window(self, f: int) -> list[tuple[int, int]]:
+        """Window `f` as (sid, suffix start) pairs in ascending sid order."""
         raise NotImplementedError
 
-    def frequencies(self) -> list[int]:
-        """Per-symbol frequency of the live window (index = symbol id)."""
+    def frequencies(self, f: int) -> list[int]:
+        """Per-symbol frequency of window `f` (index = symbol id)."""
         raise NotImplementedError
 
     # -- propagation ------------------------------------------------------
@@ -215,12 +218,9 @@ class ProjectionPropagator(Propagator):
     def propagate(self, depth: int) -> bool:
         if depth < 0:
             return self._root()
-        if self.prefix_len.value > depth:
-            return True  # already projected at this node
         f = depth + 1
         if not self._extend(self.vars[depth].value(), f):
             return False
-        self.prefix_len.set(f)
         if f > self.peak_depth:
             self.peak_depth = f
         return f >= len(self.vars) or self._filter(f)
@@ -229,42 +229,33 @@ class ProjectionPropagator(Propagator):
 class ListProjection(ProjectionPropagator):
     """Projection over the stacked window arrays of `PseudoProjection`.
 
-    Subclasses leave the live window's frequencies readable through
-    `_freq_of` after each extension; the scratch-counting ones refresh
-    `_scratch`, which the root resets to the database supports.
+    ``_counts[f]`` holds window f's per-symbol frequencies (index = symbol
+    id): the database supports in slot 0, and below it the list each
+    extension stores, counted afresh or copied from the parent's slot.
     """
 
-    def __init__(self, db, variables, min_sup, trail):
-        super().__init__(db, variables, min_sup, trail)
-        self.projection = PseudoProjection(trail, db)
-        self._scratch: list[int] = list(db.symbol_supports)
+    def __init__(self, db, variables, min_sup):
+        super().__init__(db, variables, min_sup)
+        slots = len(self.vars) + 1
+        self.projection = PseudoProjection(db, slots)
+        self._counts: list[Sequence[int]] = [db.symbol_supports] * slots
 
-    def _freq_of(self, a: int) -> int:
-        return self._scratch[a]
+    def support(self, f: int) -> int:
+        lo, hi = self.projection.bounds[f]
+        return hi - lo
 
-    def support(self) -> int:
-        return self.projection.size.value
+    def window(self, f: int) -> list[tuple[int, int]]:
+        return self.projection.window(f)
 
-    def window(self) -> list[tuple[int, int]]:
-        return self.projection.window()
-
-    def frequencies(self) -> list[int]:
-        """The scratch-counting strategies refresh this on every extension,
-        so it is only meaningful right after a successful propagate; the
-        counter-based strategies keep it valid across backtracking."""
-        return [0] + [self._freq_of(a) for a in range(1, self.db.symbol_count + 1)]
-
-    def _root(self) -> bool:
-        # the scratch may hold a past search's counts
-        self._scratch = list(self.db.symbol_supports)
-        return super()._root()
+    def frequencies(self, f: int) -> list[int]:
+        return list(self._counts[f])
 
     def _filter(self, f: int) -> bool:
         var = self.vars[f]
         values = var.values()
         self.supports_counted += len(values) - var.contains(0)
-        theta, freq = self.min_sup, self._freq_of
-        return var.restrict([b for b in values if b == 0 or freq(b) >= theta])
+        theta, counts = self.min_sup, self._counts[f]
+        return var.restrict([b for b in values if b == 0 or counts[b] >= theta])
 
 
 class FullScanProjection(ListProjection):
@@ -276,8 +267,8 @@ class FullScanProjection(ListProjection):
     every remaining suffix element once per sequence.
     """
 
-    def __init__(self, db, variables, min_sup, trail):
-        super().__init__(db, variables, min_sup, trail)
+    def __init__(self, db, variables, min_sup):
+        super().__init__(db, variables, min_sup)
         self._seen = [0] * (db.symbol_count + 1)
         self._seen_token = 0
 
@@ -287,7 +278,7 @@ class FullScanProjection(ListProjection):
         proj = self.projection
         sids = proj.sids
         poss = proj.poss
-        lo, hi = proj.open_child()
+        lo, hi = proj.open_child(f)
         self.entries_examined += hi - lo
         visited = 0
         for k in range(lo, hi):
@@ -304,7 +295,7 @@ class FullScanProjection(ListProjection):
                 poss.append(pos + 1)
             else:
                 visited += n - scan_from
-        sup = proj.close_child(hi)
+        sup = proj.close_child(f, hi)
         if sup < self.min_sup:
             self.positions_visited += visited
             return False
@@ -322,44 +313,35 @@ class FullScanProjection(ListProjection):
                     counts[sym] += 1
             visited += len(seq) - start
         self.positions_visited += visited
-        self._scratch = counts
+        self._counts[f] = counts
         return True
 
 
 class DecrementProjection(ListProjection):
-    """Projection maintaining reversible per-symbol counters by decrements.
+    """Projection maintaining per-symbol counters by decrements.
 
-    The counters start at the whole-database symbol supports and always
-    reflect the live window.  Projecting an entry loses the part of its
-    suffix up to and including the match, or the whole suffix when the
-    sequence is dropped; one walk of the sequence's last-position list
-    decrements every symbol whose last occurrence lies in that lost part.
-    Backtracking restores the counters through the trail.
+    Window f's counters start as a copy of window ``f - 1``'s (the
+    whole-database supports at the root).  Projecting an entry loses the
+    part of its suffix up to and including the match, or the whole suffix
+    when the sequence is dropped; one walk of the sequence's last-position
+    list decrements every symbol whose last occurrence lies in that lost
+    part.  The parent's counters are never written, so backtracking has
+    nothing to restore.
     """
 
-    def __init__(self, db, variables, min_sup, trail):
-        super().__init__(db, variables, min_sup, trail)
-        self._counts = [None] + [
-            ReversibleInt(trail, db.symbol_supports[a])
-            for a in range(1, db.symbol_count + 1)
-        ]
-
-    def _freq_of(self, a: int) -> int:
-        return self._counts[a].value
-
     def _extend(self, a: int, f: int) -> bool:
-        return self._scan_decrement(a) >= self.min_sup
+        return self._scan_decrement(a, f) >= self.min_sup
 
-    def _scan_decrement(self, a: int) -> int:
+    def _scan_decrement(self, a: int, f: int) -> int:
         db = self.db
         seqs = db.seqs
         last = db.last_pos_index[a]
         last_list = db.last_pos_list
-        counts = self._counts
+        counts = list(self._counts[f - 1])
         proj = self.projection
         sids = proj.sids
         poss = proj.poss
-        lo, hi = proj.open_child()
+        lo, hi = proj.open_child(f)
         self.entries_examined += hi - lo
         visited = 0
         for k in range(lo, hi):
@@ -382,10 +364,10 @@ class DecrementProjection(ListProjection):
                 if p <= pos:
                     break
                 if p <= new:
-                    c = counts[sym]
-                    c.set(c.value - 1)
+                    counts[sym] -= 1
         self.positions_visited += visited
-        return proj.close_child(hi)
+        self._counts[f] = counts
+        return proj.close_child(f, hi)
 
 
 class AdaptiveProjection(DecrementProjection):
@@ -393,26 +375,16 @@ class AdaptiveProjection(DecrementProjection):
 
     When the projecting symbol appears in strictly fewer than half of the
     window's suffixes, most of the window is about to be dropped and a
-    scratch recount over the survivors is cheaper; the fresh counts are
-    then written back into the reversible counters.  Otherwise the
-    decrement pass is used unchanged.
+    scratch recount over the survivors is cheaper: its fresh counts are
+    the child's counters.  Otherwise the decrement pass is used unchanged.
     """
 
     def _extend(self, a: int, f: int) -> bool:
-        parent_size = self.projection.size.value
-        if self._counts[a].value * 2 < parent_size:
-            sup, fresh = self._scan_lastpos(a)
-            if sup < self.min_sup:
-                return False
-            counts = self._counts
-            for b in range(1, self.db.symbol_count + 1):
-                c = counts[b]
-                if c.value != fresh[b]:
-                    c.set(fresh[b])
-            return True
-        return self._scan_decrement(a) >= self.min_sup
+        if self._counts[f - 1][a] * 2 < self.support(f - 1):
+            return self._scan_lastpos(a, f) >= self.min_sup
+        return self._scan_decrement(a, f) >= self.min_sup
 
-    def _scan_lastpos(self, a: int) -> tuple[int, list[int]]:
+    def _scan_lastpos(self, a: int, f: int) -> int:
         """Last-position-guided projection pass.
 
         Builds the child window and a fresh per-symbol count in one sweep
@@ -433,7 +405,7 @@ class AdaptiveProjection(DecrementProjection):
         proj = self.projection
         sids = proj.sids
         poss = proj.poss
-        lo, hi = proj.open_child()
+        lo, hi = proj.open_child(f)
         if len(last) < hi - lo:
             where = proj.window_map(lo, hi)
             cursors = map(where.get, last, repeat(db.max_len))
@@ -461,7 +433,8 @@ class AdaptiveProjection(DecrementProjection):
                     break
                 counts[sym] += 1
         self.positions_visited += visited
-        return proj.close_child(hi), counts
+        self._counts[f] = counts
+        return proj.close_child(f, hi)
 
 
 class BitmapProjection(ProjectionPropagator):
@@ -470,9 +443,8 @@ class BitmapProjection(ProjectionPropagator):
     A window is one int over the `SymbolBitmaps` layout: a bit at every
     position left in a window suffix, and only the guard bit in the block
     of a sequence outside the window.  ``_windows[f]`` is the window of the
-    first f bound symbols and ``_supports[f]`` its size, in per-depth lists:
-    a node reads only the entries its ancestors wrote, so neither needs the
-    trail.  Binding `a` takes, per block, the first match at or after the
+    first f bound symbols and ``_supports[f]`` its size, in per-depth
+    slots.  Binding `a` takes, per block, the first match at or after the
     cursor: with ``Y = F & occ[a]``, ``(Y | G) - O`` clears the lowest set
     bit of Y in each block (the guard stops the borrow where Y is empty),
     so ``L = Y ^ (Y & ((Y | G) - O))`` is that bit alone, the support is
@@ -488,8 +460,8 @@ class BitmapProjection(ProjectionPropagator):
     cardinality constraints) is not known to be infrequent and stays.
     """
 
-    def __init__(self, db, variables, min_sup, trail):
-        super().__init__(db, variables, min_sup, trail)
+    def __init__(self, db, variables, min_sup):
+        super().__init__(db, variables, min_sup)
         self.bitmaps = bits = db.bitmaps
         slots = len(self.vars) + 1
         self._windows = [bits.guards - bits.starts] * slots
@@ -528,11 +500,11 @@ class BitmapProjection(ProjectionPropagator):
         keep.append(0)
         return var.restrict(keep)
 
-    def support(self) -> int:
-        return self._supports[self.prefix_len.value]
+    def support(self, f: int) -> int:
+        return self._supports[f]
 
-    def window(self) -> list[tuple[int, int]]:
-        window = self._windows[self.prefix_len.value]
+    def window(self, f: int) -> list[tuple[int, int]]:
+        window = self._windows[f]
         offsets, seqs = self.bitmaps.offsets, self.db.seqs
         out = []
         for sid in self.db.sids:
@@ -542,8 +514,8 @@ class BitmapProjection(ProjectionPropagator):
                 out.append((sid, (block & -block).bit_length() - 1 if block else n))
         return out
 
-    def frequencies(self) -> list[int]:
-        window, last = self._windows[self.prefix_len.value], self.bitmaps.last
+    def frequencies(self, f: int) -> list[int]:
+        window, last = self._windows[f], self.bitmaps.last
         return [0] + [
             (window & last[b]).bit_count() for b in range(1, self.db.symbol_count + 1)
         ]

@@ -83,25 +83,23 @@ def test_c2_projection_windows_match_worked_example():
         for variant in ALL_VARIANTS:
             model = build_model(db, MiningConfig(min_sup=1, propagator=variant))
             freq = model.frequency
-            assert freq.window() == [(1, 0), (2, 0), (3, 0), (4, 0)]
-            model.trail.push_level()
+            assert freq.window(0) == [(1, 0), (2, 0), (3, 0), (4, 0)]
             bind(model, 0, 1)
             assert freq.propagate(0)
-            assert freq.support() == 3
-            assert freq.window() == [(1, 1), (2, 2), (3, 1)]
-            model.trail.push_level()
+            assert freq.support(1) == 3
+            assert freq.window(1) == [(1, 1), (2, 2), (3, 1)]
             bind(model, 1, 2)
             assert freq.propagate(1)
-            assert freq.support() == 3
-            assert freq.window() == [(1, 2), (2, 3), (3, 2)]
+            assert freq.support(2) == 3
+            assert freq.window(2) == [(1, 2), (2, 3), (3, 2)]
             if variant != "ppic":
                 # the list strategies stack their windows in two arrays
                 proj = freq.projection
-                assert proj.start.value == 7
+                assert proj.bounds[:3] == [(0, 4), (4, 7), (7, 10)]
                 assert proj.sids[:10] == [1, 2, 3, 4, 1, 2, 3, 1, 2, 3]
                 assert proj.poss[:10] == [0, 0, 0, 0, 1, 2, 1, 2, 3, 2]
-            model.trail.restore_level()
-            assert freq.window() == [(1, 1), (2, 2), (3, 1)]
+            # the parent's window is still readable below the child
+            assert freq.window(1) == [(1, 1), (2, 2), (3, 1)]
 
 
 # --------------------------------------------------------------- criterion 3
@@ -112,21 +110,21 @@ def test_c3_projected_frequencies_along_both_counting_routes():
         db = loads(SDB1_TEXT, min_sup=1)
         for variant in ALL_VARIANTS:
             model = build_model(db, MiningConfig(min_sup=1, propagator=variant))
-            model.trail.push_level()
             bind(model, 0, 1)
             assert model.frequency.propagate(0)
-            assert model.frequency.frequencies() == [0, 0, 3, 2, 0], variant
-        # the decrement route starts from whole-database supports and must
-        # return to them after backtracking
+            assert model.frequency.frequencies(1) == [0, 0, 3, 2, 0], variant
+        # the decrement route starts from whole-database supports, which a
+        # child's decrements leave untouched for its siblings
         model = build_model(db, MiningConfig(min_sup=1, propagator="ppdc"))
         freq = model.frequency
-        assert freq.frequencies() == [0, 3, 4, 3, 1]
-        model.trail.push_level()
+        assert freq.frequencies(0) == [0, 3, 4, 3, 1]
         bind(model, 0, 1)
         assert freq.propagate(0)
-        assert freq.frequencies() == [0, 0, 3, 2, 0]
-        model.trail.restore_level()
-        assert freq.frequencies() == [0, 3, 4, 3, 1]
+        assert freq.frequencies(1) == [0, 0, 3, 2, 0]
+        assert freq.frequencies(0) == [0, 3, 4, 3, 1]
+        bind(model, 0, 3)  # the sibling <C> projects from the same root
+        assert freq.propagate(0)
+        assert freq.frequencies(1) == [0, 0, 1, 1, 1]
 
 
 # --------------------------------------------------------------- criterion 4
@@ -236,25 +234,29 @@ def test_c5_constrained_mining_equals_post_filtering():
 # --------------------------------------------------------------- criterion 6
 
 
-def _model_snapshot(model):
+def _root_snapshot(model):
+    """Domains and slot 0, the state every search starts from."""
     freq = model.frequency
-    state = {
+    return {
         "domains": [v.sorted_values() for v in model.variables],
-        "window": freq.window(),
-        "support": freq.support(),
-        "prefix_len": freq.prefix_len.value,
-        "depth": model.trail.depth,
-        "entries": model.trail.entry_count,
+        "window": freq.window(0),
+        "support": freq.support(0),
+        "frequencies": freq.frequencies(0),
     }
-    if hasattr(freq, "_counts"):
-        # reversible counters are real state and must restore exactly;
-        # the scratch buffers of the other strategies are per-node caches
-        state["frequencies"] = freq.frequencies()
-    return state
+
+
+def _slot_snapshot(model):
+    """Every per-depth slot of the frequency propagator, stale ones too."""
+    freq = model.frequency
+    slots = range(len(model.variables) + 1)
+    return [(freq.support(f), freq.window(f), freq.frequencies(f)) for f in slots]
 
 
 def test_c6_search_leaves_no_residue_and_trail_matches_snapshots():
-    with verdict(6, "state is restored after every search; trail matches snapshots"):
+    # the propagators keep per-depth slots instead of a trail: a search
+    # must leave the root state as it found it, and a rerun must write
+    # every slot exactly as the first run did
+    with verdict(6, "state is restored after every search; reruns match snapshots"):
         rng = random.Random(66)
         for trial in range(6):
             raw = random_sequences(rng, 8, 8, 4, min_sequences=3)
@@ -262,18 +264,21 @@ def test_c6_search_leaves_no_residue_and_trail_matches_snapshots():
             for variant in ALL_VARIANTS:
                 config = MiningConfig(min_sup=max(1, db.size // 3), propagator=variant)
                 model = build_model(db, config)
-                engine = SearchEngine(
-                    model.trail, model.variables, model.propagators, None
-                )
-                before = _model_snapshot(model)
+                seen = []
+                engine = SearchEngine(model.variables, model.propagators, seen.append)
+                before = _root_snapshot(model)
                 engine.solve_all()
-                assert _model_snapshot(model) == before, variant
+                assert _root_snapshot(model) == before, variant
+                slots, first = _slot_snapshot(model), list(seen)
                 # a second run must see identical state and counters
                 nodes = engine.nodes
+                seen.clear()
                 engine.solve_all()
                 assert engine.nodes == nodes
-                assert _model_snapshot(model) == before, variant
-                # an aborted run restores too
+                assert seen == first, variant
+                assert _root_snapshot(model) == before, variant
+                assert _slot_snapshot(model) == slots, variant
+                # an aborted run leaves the root state too
                 budget = [max(1, nodes // 2)]
 
                 def hook():
@@ -282,8 +287,13 @@ def test_c6_search_leaves_no_residue_and_trail_matches_snapshots():
 
                 engine.node_hook = hook
                 engine.solve_all()
-                assert _model_snapshot(model) == before, variant
-        # randomized trail scripts checked against full-copy snapshots
+                assert engine.aborted == (nodes > 0)
+                assert _root_snapshot(model) == before, variant
+                engine.node_hook = None
+                seen.clear()
+                engine.solve_all()
+                assert seen == first, variant
+        # randomized domain scripts checked against plain-set models
         run_script(20260824, 100_000)
         run_script(424242, 100_000)
 

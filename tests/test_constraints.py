@@ -77,19 +77,28 @@ def test_max_length_one_keeps_only_singletons(sdb1_theta2):
 def test_length_propagator_shapes_domains(sdb1_theta2):
     config = MiningConfig(min_sup=2, length=LengthBounds(2, 2))
     model = build_model(sdb1_theta2, config)
-    model.trail.push_level()
     bind(model, 0, 1)
     for prop in model.propagators:
         assert prop.propagate(0)
     # prefix <A> is below the minimum: continuing is forced
     assert not model.variables[1].contains(0)
-    model.trail.push_level()
     bind(model, 1, 2)
     for prop in model.propagators:
         assert prop.propagate(1)
     # the maximum is the model size: <A B> fills the last slot and is emitted
     assert len(model.variables) == 2
     assert ((1, 2), 3) in mine(sdb1_theta2, config).patterns
+
+
+@pytest.mark.parametrize("variant", sorted(PROPAGATORS))
+def test_length_minimum_longer_than_the_model_fails_at_the_root(sdb1, variant):
+    # the longest sequence has 5 symbols, so the model has 5 slots and no
+    # pattern reaches 9: the length propagator fails before the first node
+    config = MiningConfig(min_sup=1, propagator=variant, length=LengthBounds(9, 12))
+    assert len(build_model(sdb1, config).variables) == 5
+    result = mine(sdb1, config)
+    assert result.patterns == []
+    assert result.stats.search_nodes == 0
 
 
 # ----------------------------------------------------------------- model size
@@ -149,7 +158,6 @@ def test_excluded_symbol_is_removed_at_the_root(sdb1_theta2):
     # the next unbound variable is filtered; deeper ones wait for their node
     assert not model.variables[0].contains(2)
     assert model.variables[1].contains(2)
-    model.trail.push_level()
     bind(model, 0, 1)
     for prop in model.propagators:
         assert prop.propagate(0)

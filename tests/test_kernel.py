@@ -1,4 +1,4 @@
-"""Trail, reversible slots, domains and their reset, and the search engine."""
+"""Domains and their reset, and the search engine."""
 
 from __future__ import annotations
 
@@ -8,105 +8,7 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 
 from seqmine import MiningConfig, build_database, build_model, loads, mine
-from seqmine.kernel import (
-    FDVariable,
-    Propagator,
-    ReversibleInt,
-    SearchEngine,
-    Trail,
-    TrailUnderflow,
-)
-
-import pytest
-
-
-# ---------------------------------------------------------------- trail basics
-
-
-def test_fresh_trail_first_level_is_zero():
-    trail = Trail()
-    assert trail.depth == 0
-    assert trail.push_level() == 0
-    assert trail.depth == 1
-    assert trail.level_mark(0) == 0
-
-
-def test_push_after_three_writes_marks_three_entries():
-    trail = Trail()
-    trail.push_level()
-    slots = [ReversibleInt(trail, 0) for _ in range(3)]
-    for i, slot in enumerate(slots):
-        slot.set(i + 10)
-    assert trail.entry_count == 3
-    assert trail.push_level() == 1
-    assert trail.level_mark(1) == 3
-
-
-def test_restore_reverts_assignment():
-    trail = Trail()
-    x = ReversibleInt(trail, 3)
-    trail.push_level()
-    trail.push_level()
-    x.set(5)
-    assert x.value == 5
-    trail.restore_level()
-    assert x.value == 3
-
-
-def test_same_slot_written_twice_in_one_level_records_one_entry():
-    trail = Trail()
-    trail.push_level()
-    x = ReversibleInt(trail, 1)
-    x.set(2)
-    x.set(3)
-    assert trail.entry_count == 1
-    trail.restore_level()
-    assert x.value == 1
-
-
-def test_root_writes_are_permanent():
-    trail = Trail()
-    x = ReversibleInt(trail, 7)
-    x.set(9)
-    assert trail.entry_count == 0
-    trail.push_level()
-    trail.restore_level()
-    assert x.value == 9
-
-
-def test_restore_without_level_raises():
-    trail = Trail()
-    with pytest.raises(TrailUnderflow):
-        trail.restore_level()
-    trail.push_level()
-    trail.restore_level()
-    with pytest.raises(TrailUnderflow):
-        trail.restore_level()
-
-
-def test_nested_levels_restore_newest_first():
-    trail = Trail()
-    x = ReversibleInt(trail, 0)
-    values = []
-    for v in (1, 2, 3):
-        trail.push_level()
-        x.set(v)
-        values.append(x.value)
-    assert values == [1, 2, 3]
-    trail.restore_level()
-    assert x.value == 2
-    trail.restore_level()
-    assert x.value == 1
-    trail.restore_level()
-    assert x.value == 0
-
-
-def test_set_to_same_value_adds_no_entry():
-    trail = Trail()
-    trail.push_level()
-    x = ReversibleInt(trail, 4)
-    x.set(4)
-    assert trail.entry_count == 0
+from seqmine.kernel import FDVariable, Propagator, SearchEngine
 
 
 # ----------------------------------------------------------------- FD domains
@@ -212,47 +114,34 @@ def test_duplicate_init_values_collapse():
 
 
 def run_script(seed: int, operations: int) -> None:
-    """Drive random trailed writes and domain filters.  Every trail restore
-    is checked against a full-copy snapshot of the reversible ints taken at
-    the matching push, and every domain operation against a plain-set
-    model of the domain and of the template it resets to."""
+    """Drive random domain filters, resets and copies, each checked against
+    a plain-set model of the domain and of the template it resets to."""
     rng = random.Random(seed)
-    trail = Trail()
-    ints = [ReversibleInt(trail, rng.randint(0, 9)) for _ in range(6)]
     doms = []
     models = []  # [template set, live set] per domain
     for _ in range(6):
         full = set(range(rng.randint(1, 10)))
         doms.append(FDVariable(full))
         models.append([full, set(full)])
-    stack = []
     for _ in range(operations):
         op = rng.random()
         k = rng.randrange(len(doms))
         var, model = doms[k], models[k]
-        if op < 0.15:
-            stack.append(tuple(slot.value for slot in ints))
-            trail.push_level()
-        elif op < 0.3 and stack:
-            trail.restore_level()
-            assert tuple(slot.value for slot in ints) == stack.pop()
-        elif op < 0.55:
-            rng.choice(ints).set(rng.randint(0, 99))
-        elif op < 0.7:
+        if op < 0.35:
             a = rng.randint(0, 10)
             expect = model[1] - {a}
             assert var.remove(a) == bool(expect)
             model[1] = expect or model[1]
-        elif op < 0.85:
+        elif op < 0.7:
             keep = [rng.randint(0, 11) for _ in range(rng.randint(0, 6))]
             expect = model[1] & set(keep)
             assert var.restrict(keep) == bool(expect)
             model[1] = expect or model[1]
-        elif op < 0.93:
+        elif op < 0.85:
             a = rng.choice(var.values())
             var.assign(a)
             model[1] = {a}
-        elif op < 0.98:
+        elif op < 0.96:
             var.reset()
             model[1] = set(model[0])
         elif len(doms) < 12:
@@ -260,10 +149,6 @@ def run_script(seed: int, operations: int) -> None:
             models.append([model[0], set(model[1])])
         assert set(var.values()) == model[1]
         assert var.size == len(model[1])
-    while stack:
-        trail.restore_level()
-        assert tuple(slot.value for slot in ints) == stack.pop()
-    assert trail.depth == 0
     for var, (full, live) in zip(doms, models):
         assert set(var.values()) == live
         var.reset()
@@ -297,16 +182,15 @@ class ForbidPair(Propagator):
 
 
 def build_toy_engine(sink):
-    trail = Trail()
     x = FDVariable([1, 2])
     y = FDVariable([1, 2])
-    engine = SearchEngine(trail, [x, y], [ForbidPair(x, y)], sink)
-    return trail, (x, y), engine
+    engine = SearchEngine([x, y], [ForbidPair(x, y)], sink)
+    return (x, y), engine
 
 
 def test_engine_enumerates_all_solutions():
     seen = []
-    _, _, engine = build_toy_engine(seen.append)
+    _, engine = build_toy_engine(seen.append)
     assert engine.solve_all() == 2
     assert seen == [[1, 2], [2, 1]]
     assert engine.solutions == 2
@@ -314,11 +198,10 @@ def test_engine_enumerates_all_solutions():
 
 def test_engine_restores_state_and_reruns_identically():
     seen = []
-    trail, (x, y), engine = build_toy_engine(seen.append)
+    (x, y), engine = build_toy_engine(seen.append)
     before = [x.sorted_values(), y.sorted_values()]
     engine.solve_all()
     assert [x.sorted_values(), y.sorted_values()] == before
-    assert trail.depth == 0
     first = list(seen)
     seen.clear()
     engine.solve_all()
@@ -327,7 +210,6 @@ def test_engine_restores_state_and_reruns_identically():
 
 
 def test_engine_counts_failures():
-    trail = Trail()
     x = FDVariable([1, 2])
 
     class FailAlways(Propagator):
@@ -335,16 +217,15 @@ def test_engine_counts_failures():
             return depth < 0
 
     seen = []
-    engine = SearchEngine(trail, [x], [FailAlways()], seen.append)
+    engine = SearchEngine([x], [FailAlways()], seen.append)
     assert engine.solve_all() == 0
     assert seen == []
     assert engine.failures == 2
-    assert trail.depth == 0
 
 
 def test_node_hook_aborts_search():
     seen = []
-    _, (x, _), engine = build_toy_engine(seen.append)
+    (x, _), engine = build_toy_engine(seen.append)
     engine.node_hook = lambda: False
     assert engine.solve_all() == 0
     assert engine.aborted
@@ -353,9 +234,10 @@ def test_node_hook_aborts_search():
 
 
 def test_abort_below_open_node_levels_restores_all_of_them():
-    # aborting at the second node unwinds past the first node's open level
+    # aborting at the second node unwinds past the first node's open
+    # branch, whose next domain the propagator had pruned
     seen = []
-    trail, (x, y), engine = build_toy_engine(seen.append)
+    (x, y), engine = build_toy_engine(seen.append)
     budget = [2]
 
     def hook():
@@ -365,9 +247,13 @@ def test_abort_below_open_node_levels_restores_all_of_them():
     engine.node_hook = hook
     engine.solve_all()
     assert engine.aborted
-    assert trail.depth == 0
+    assert seen == []
     assert x.sorted_values() == [1, 2]
     assert y.sorted_values() == [1, 2]
+    # the aborted run leaves nothing behind: a full rerun is unaffected
+    engine.node_hook = None
+    assert engine.solve_all() == 2
+    assert seen == [[1, 2], [2, 1]]
 
 
 def test_deep_pattern_is_mined_without_recursion_limit():

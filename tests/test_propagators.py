@@ -45,7 +45,6 @@ SDB1_THETA2_PATTERNS = [
 def drive(db, variant, prefix, min_sup=1):
     """Build a model and bind `prefix` one symbol at a time."""
     model = build_model(db, MiningConfig(min_sup=min_sup, propagator=variant))
-    model.trail.push_level()
     for depth, symbol in enumerate(prefix):
         bind(model, depth, symbol)
         assert model.frequency.propagate(depth)
@@ -59,25 +58,24 @@ def drive(db, variant, prefix, min_sup=1):
 def test_root_window_covers_every_sequence(sdb1, variant):
     model = build_model(sdb1, MiningConfig(min_sup=1, propagator=variant))
     freq = model.frequency
-    assert freq.support() == 4
-    assert freq.window() == [(1, 0), (2, 0), (3, 0), (4, 0)]
+    assert freq.support(0) == 4
+    assert freq.window(0) == [(1, 0), (2, 0), (3, 0), (4, 0)]
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_window_after_first_symbol(sdb1, variant):
     model = drive(sdb1, variant, [1])  # <A>
     freq = model.frequency
-    assert freq.support() == 3
-    assert freq.window() == [(1, 1), (2, 2), (3, 1)]
+    assert freq.support(1) == 3
+    assert freq.window(1) == [(1, 1), (2, 2), (3, 1)]
 
 
 @pytest.mark.parametrize("variant", LIST_VARIANTS)
 def test_window_after_two_symbols_and_array_layout(sdb1, variant):
     model = drive(sdb1, variant, [1, 2])  # <A B>
     proj = model.frequency.projection
-    assert proj.start.value == 7
-    assert proj.size.value == 3
-    assert proj.window() == [(1, 2), (2, 3), (3, 2)]
+    assert proj.bounds[2] == (7, 10)
+    assert proj.window(2) == [(1, 2), (2, 3), (3, 2)]
     # stacked layout: root block, then the <A> block, then the <A B> block
     assert proj.sids[:10] == [1, 2, 3, 4, 1, 2, 3, 1, 2, 3]
     assert proj.poss[:10] == [0, 0, 0, 0, 1, 2, 1, 2, 3, 2]
@@ -88,20 +86,28 @@ def test_child_extension_leaves_parent_block_untouched(sdb1, variant):
     model = drive(sdb1, variant, [1])
     proj = model.frequency.projection
     parent = (list(proj.sids[4:7]), list(proj.poss[4:7]))
-    model.trail.push_level()
     bind(model, 1, 2)
     assert model.frequency.propagate(1)
     assert (list(proj.sids[4:7]), list(proj.poss[4:7])) == parent
-    model.trail.restore_level()
-    assert proj.start.value == 4
-    assert proj.size.value == 3
+    assert proj.bounds[1] == (4, 7)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_ancestor_window_stays_readable_below_its_child(sdb1, variant):
+    # slot 1 holds <A>'s window after <A B> is bound below it
+    model = drive(sdb1, variant, [1, 2])
+    freq = model.frequency
+    expect = naive_window(sdb1, [1])
+    assert freq.window(1) == expect == [(1, 1), (2, 2), (3, 1)]
+    assert freq.support(1) == len(expect)
+    assert freq.frequencies(1) == projected_symbol_counts(sdb1, expect)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_frequencies_after_first_symbol(sdb1, variant):
     model = drive(sdb1, variant, [1])
     # suffixes after <A>: <B C B C>, <B C>, <B>: B in 3, C in 2
-    assert model.frequency.frequencies() == [0, 0, 3, 2, 0]
+    assert model.frequency.frequencies(1) == [0, 0, 3, 2, 0]
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -115,7 +121,6 @@ def test_infrequent_symbols_filtered_from_next_variable_only(sdb1, variant):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_extension_fails_when_support_drops_below_threshold(sdb1, variant):
     model = build_model(sdb1, MiningConfig(min_sup=2, propagator=variant))
-    model.trail.push_level()
     bind(model, 0, 4)  # D appears once
     assert not model.frequency.propagate(0)
 
@@ -157,13 +162,12 @@ def test_index_side_child_window_equals_naive_projection(variant):
     a, x = db.id_of["A"], db.id_of["X"]
     model = drive(db, variant, [a])
     freq = model.frequency
-    assert freq.support() == 10
+    assert freq.support(1) == 10
     assert len(db.last_pos_index[x]) == 4  # fewer than the 10 window entries
     before = freq.entries_examined
-    model.trail.push_level()
     bind(model, 1, x)
     assert freq.propagate(1)
-    assert freq.window() == naive_window(db, [a, x]) == [(3, 2), (5, 3)]
+    assert freq.window(2) == naive_window(db, [a, x]) == [(3, 2), (5, 3)]
     # ppmixed scans from the index side; the bitmaps walk no entries
     examined = {"ppmixed": 4, "ppic": 0}.get(variant, 10)
     assert freq.entries_examined - before == examined
@@ -177,24 +181,18 @@ def test_sibling_windows_with_equal_start_and_size_do_not_share_a_map(variant):
     db = build_database(raw, 1)
     a, b, x = db.id_of["A"], db.id_of["B"], db.id_of["X"]
     model = build_model(db, MiningConfig(min_sup=1, propagator=variant))
-    freq, trail = model.frequency, model.trail
-    trail.push_level()
+    freq = model.frequency
     windows = []
     for first in (a, b):
-        trail.push_level()
         bind(model, 0, first)
         assert freq.propagate(0)
         if variant in LIST_VARIANTS:
-            proj = freq.projection
-            windows.append((proj.start.value, proj.size.value))
-        trail.push_level()
+            windows.append(freq.projection.bounds[1])
         bind(model, 1, x)
         assert freq.propagate(1)
-        assert freq.window() == naive_window(db, [first, x])
-        trail.restore_level()
-        trail.restore_level()
+        assert freq.window(2) == naive_window(db, [first, x])
     if variant in LIST_VARIANTS:
-        assert windows == [(10, 10), (10, 10)]
+        assert windows == [(10, 20), (10, 20)]
     config = MiningConfig(min_sup=1, propagator=variant)
     assert sorted(mine(db, config).patterns) == mine_brute_force(
         db, OracleConfig(min_sup=1)
@@ -228,8 +226,8 @@ def test_bitmap_blocks_hold_at_sequence_and_digit_edges():
         if a in seq[-1:] and a not in seq[:-1]
     ]
     assert len(only_at_end) >= 5
-    assert set(only_at_end) <= set(model.frequency.window())
-    assert model.frequency.support() == db.support([a]) == 11
+    assert set(only_at_end) <= set(model.frequency.window(1))
+    assert model.frequency.support(1) == db.support([a]) == 11
     config = OracleConfig(min_sup=2, max_len=3, length=LengthBounds(1, 3))
     expected = mine_brute_force(db, config)
     for variant in ALL_VARIANTS:
@@ -237,10 +235,10 @@ def test_bitmap_blocks_hold_at_sequence_and_digit_edges():
         assert sorted(got.patterns) == expected, variant
     for prefix, _ in expected:
         expect = naive_window(db, prefix)
-        freq = drive(db, "ppic", prefix).frequency
-        assert freq.window() == expect, prefix
-        assert freq.support() == len(expect), prefix
-        assert freq.frequencies() == projected_symbol_counts(db, expect), prefix
+        freq, f = drive(db, "ppic", prefix).frequency, len(prefix)
+        assert freq.window(f) == expect, prefix
+        assert freq.support(f) == len(expect), prefix
+        assert freq.frequencies(f) == projected_symbol_counts(db, expect), prefix
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -293,15 +291,17 @@ def test_root_is_filtered_by_the_database_supports(sdb1, variant):
 
 
 def test_decrement_counters_follow_window_and_restore(sdb1):
+    # a child decrements a copy: the parent's counters stay for its siblings
     model = build_model(sdb1, MiningConfig(min_sup=1, propagator="ppdc"))
     freq = model.frequency
-    assert freq.frequencies() == [0, 3, 4, 3, 1]
-    model.trail.push_level()
+    assert freq.frequencies(0) == [0, 3, 4, 3, 1]
     bind(model, 0, 1)
     assert freq.propagate(0)
-    assert freq.frequencies() == [0, 0, 3, 2, 0]
-    model.trail.restore_level()
-    assert freq.frequencies() == [0, 3, 4, 3, 1]
+    assert freq.frequencies(1) == [0, 0, 3, 2, 0]
+    assert freq.frequencies(0) == [0, 3, 4, 3, 1]
+    bind(model, 0, 2)
+    assert freq.propagate(0)
+    assert freq.frequencies(1) == projected_symbol_counts(sdb1, freq.window(1))
 
 
 def test_adaptive_picks_scratch_for_rare_and_decrement_for_common(sdb1):
@@ -311,33 +311,38 @@ def test_adaptive_picks_scratch_for_rare_and_decrement_for_common(sdb1):
     orig_lastpos = freq._scan_lastpos
     orig_decrement = freq._scan_decrement
 
-    def spy_lastpos(a):
+    def spy_lastpos(a, f):
         calls.append("lastpos")
-        return orig_lastpos(a)
+        return orig_lastpos(a, f)
 
-    def spy_decrement(a):
+    def spy_decrement(a, f):
         calls.append("decrement")
-        return orig_decrement(a)
+        return orig_decrement(a, f)
 
     freq._scan_lastpos = spy_lastpos
     freq._scan_decrement = spy_decrement
 
     # D survives in 1 of 4 suffixes: 2*1 < 4 selects the scratch recount
-    model.trail.push_level()
     bind(model, 0, 4)
     assert freq.propagate(0)
     assert calls == ["lastpos"]
-    assert freq.frequencies() == projected_symbol_counts(sdb1, freq.window())
-    model.trail.restore_level()
-    assert freq.frequencies() == [0, 3, 4, 3, 1]
+    assert freq.frequencies(1) == projected_symbol_counts(sdb1, freq.window(1))
+    assert freq.frequencies(0) == [0, 3, 4, 3, 1]
 
     # B survives in 4 of 4: 2*4 >= 4 keeps the decrement pass
     calls.clear()
-    model.trail.push_level()
     bind(model, 0, 2)
     assert freq.propagate(0)
     assert calls == ["decrement"]
-    model.trail.restore_level()
+    assert freq.frequencies(1) == projected_symbol_counts(sdb1, freq.window(1))
+
+    # the choice reads the parent window: A is in 3 of 4 sequences, but in
+    # only 1 of the 4 suffixes after <B>, so 2*1 < 4 selects the recount
+    calls.clear()
+    bind(model, 1, 1)
+    assert freq.propagate(1)
+    assert calls == ["lastpos"]
+    assert freq.frequencies(2) == projected_symbol_counts(sdb1, freq.window(2))
 
 
 # ------------------------------------------------------------- end-to-end
@@ -358,27 +363,27 @@ class Recount(Propagator):
         self.calls = 0
 
     def propagate(self, depth):
-        freq = self.frequency
-        expect = projected_symbol_counts(freq.db, freq.window())
-        assert freq.frequencies() == expect, depth
+        freq, f = self.frequency, depth + 1
+        expect = projected_symbol_counts(freq.db, freq.window(f))
+        assert freq.frequencies(f) == expect, depth
         self.calls += 1
         return True
 
 
 def search_with(db, config, make_check):
     """Search the model of `config` with `make_check(model)` registered after
-    its propagators; returns the model, the check, the engine and the
-    (pattern, support) pairs, as `mine()` reports them."""
+    its propagators, and the check's `mark`, if it has one, before them;
+    returns the model, the check, the engine and the (pattern, support)
+    pairs, as `mine()` reports them."""
     model = build_model(db, config)
     check = make_check(model)
     seen = []
 
     def sink(values):
-        seen.append((tuple(values), model.frequency.support()))
+        seen.append((tuple(values), model.frequency.support(len(values))))
 
-    engine = SearchEngine(
-        model.trail, model.variables, model.propagators + [check], sink
-    )
+    lead = [check.mark] if hasattr(check, "mark") else []
+    engine = SearchEngine(model.variables, lead + model.propagators + [check], sink)
     engine.solve_all()
     return model, check, engine, seen
 
@@ -465,9 +470,7 @@ def test_sink_receives_each_pattern_once_without_terminator(sdb1_theta2):
         config = MiningConfig(min_sup=theta)
         model = build_model(db, config)
         seen = []
-        engine = SearchEngine(
-            model.trail, model.variables, model.propagators, seen.append
-        )
+        engine = SearchEngine(model.variables, model.propagators, seen.append)
         engine.solve_all()
         patterns = [tuple(values) for values in seen]
         assert all(0 not in p for p in patterns)
@@ -477,22 +480,53 @@ def test_sink_receives_each_pattern_once_without_terminator(sdb1_theta2):
     assert patterns == [(1, 2), (1,), (2,)]
 
 
+def work(freq):
+    return freq.positions_visited, freq.entries_examined, freq.supports_counted
+
+
+class WorkMark(Propagator):
+    """Registered first: records the frequency propagator's work counters
+    before each node's pass."""
+
+    def __init__(self, frequency):
+        self.frequency = frequency
+        self.counters = (0, 0, 0)
+
+    def propagate(self, depth):
+        self.counters = work(self.frequency)
+        return True
+
+
 class StabilityCheck(Propagator):
     """Registered last: asserts that its node bound a symbol, not the 0
     terminator, then re-runs every other propagator at the same node and
-    asserts that each re-run succeeds and changes no domain size."""
+    asserts that each re-run succeeds and changes no domain size, and that
+    the frequency propagator's slot for the node is unchanged.
 
-    def __init__(self, others, variables):
-        self.others = list(others)
-        self.vars = list(variables)
+    The re-run projects the window again, so the scans count their work a
+    second time, exactly as much as in the node's pass; the filter counts
+    only the candidates the pass kept."""
+
+    def __init__(self, model):
+        self.others = list(model.propagators)
+        self.vars = list(model.variables)
+        self.frequency = model.frequency
+        self.mark = WorkMark(model.frequency)
         self.calls = 0
 
     def propagate(self, depth):
         assert depth < 0 or self.vars[depth].value() != 0, depth
+        freq, f = self.frequency, depth + 1
         sizes = [v.size for v in self.vars]
+        slot = (freq.support(f), freq.window(f), freq.frequencies(f))
+        done = work(freq)
         for prop in self.others:
             assert prop.propagate(depth), (prop, depth)
             assert [v.size for v in self.vars] == sizes, (prop, depth)
+        assert (freq.support(f), freq.window(f), freq.frequencies(f)) == slot
+        first = [b - a for a, b in zip(self.mark.counters, done)]
+        again = [b - a for a, b in zip(done, work(freq))]
+        assert again[:2] == first[:2] and again[2] <= first[2], (first, again)
         self.calls += 1
         return True
 
@@ -503,9 +537,7 @@ def test_one_propagation_pass_per_node_is_stable(variant):
     for db in _constraint_corpora():
         for config in _constraint_suite(db):
             config = replace(config, propagator=variant)
-            model, check, engine, patterns = search_with(
-                db, config, lambda m: StabilityCheck(m.propagators, m.variables)
-            )
+            model, check, engine, patterns = search_with(db, config, StabilityCheck)
             assert check.calls == symbol_nodes(model, engine, patterns)
             assert patterns == mine(db, config).patterns
             checked += 1
@@ -542,7 +574,7 @@ def test_windows_match_naive_projection_on_random_prefixes():
         expect = naive_window(db, prefix)
         for variant in ALL_VARIANTS:
             model = drive(db, variant, prefix)
-            assert model.frequency.window() == expect, (
+            assert model.frequency.window(len(prefix)) == expect, (
                 variant,
                 raw,
                 prefix,
