@@ -1,15 +1,15 @@
-"""Command line interface: mine, bench and gen subcommands.
+"""Command line interface: mine and gen subcommands.
 
 ``mine`` streams frequent patterns as ``tok1 tok2 ... #SUP: n`` lines in
 depth-first branching order; with ``--stats`` a block of ``# key=value``
 lines is appended, and a run cut short by ``--timeout`` ends with a
-trailing ``# TIMEOUT`` line.  ``bench`` emits a CSV table comparing
-propagators across thresholds and fails when their solution counts
-disagree.  ``gen`` writes a reproducible random dataset.  Exit codes:
-0 success (including zero patterns), 1 ``bench`` strategies disagree,
-2 bad flags (including a negative or NaN ``--timeout``), 3 dataset or
-output errors (input unreadable, not UTF-8 or malformed; output that
-cannot be opened or written, including a closed pipe), 4 timeout.
+trailing ``# TIMEOUT`` line.  ``gen`` writes a reproducible random
+dataset.  Exit codes: 0 success (including zero patterns), 2 bad flags
+(including a negative or NaN ``--timeout``, and a ``--regex`` naming a
+token the input lacks, whatever the threshold), 3 dataset or output
+errors (input unreadable, not UTF-8 or malformed; output that cannot be
+opened or written, including a closed pipe), 4 timeout.  Any other
+status is a crash.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from contextlib import ExitStack, suppress
+from itertools import chain
 from typing import Sequence, TextIO
 
 from .constraints import LengthBounds, SymbolCardinality
@@ -32,15 +33,13 @@ from .database import (
     parse_spmf,
 )
 from .generate import GenerationError, generate_dataset
-from .mining import MiningConfig, MiningResult, RunStats, mine
-from .oracle import OracleConfig, mine_brute_force
+from .mining import MiningConfig, RunStats, mine
 from .propagators import PROPAGATORS
-from .regex import RegexError
+from .regex import RegexError, parse_regex
 
 __all__ = ["main", "entry"]
 
 EXIT_OK = 0
-EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_TIMEOUT = 4
@@ -55,10 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="seqmine",
         description="Frequent subsequence mining over sequence databases.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="{mine,bench,gen}")
+    sub = parser.add_subparsers(dest="command", metavar="{mine,gen}")
 
     p_mine = sub.add_parser("mine", help="enumerate frequent patterns")
-    _dataset_args(p_mine)
+    p_mine.add_argument("data", metavar="DATA", help="input dataset path")
+    p_mine.add_argument(
+        "--format",
+        choices=["plain", "spmf"],
+        default="plain",
+        help="input format (default: plain)",
+    )
     p_mine.add_argument(
         "--minsup",
         required=True,
@@ -71,26 +76,37 @@ def _build_parser() -> argparse.ArgumentParser:
         default="ppic",
         help="projection strategy (default: ppic)",
     )
-    _constraint_args(p_mine)
-    _run_args(p_mine)
-
-    p_bench = sub.add_parser("bench", help="compare propagators")
-    _dataset_args(p_bench)
-    p_bench.add_argument(
-        "--minsup",
+    p_mine.add_argument(
+        "--min-size", type=_positive, metavar="N", help="minimum pattern length"
+    )
+    p_mine.add_argument(
+        "--max-size", type=_positive, metavar="N", help="maximum pattern length"
+    )
+    p_mine.add_argument(
+        "--contains",
         action="append",
-        required=True,
-        metavar="N|FRAC",
-        help="threshold; repeat the flag for several",
+        type=_required_token,
+        default=[],
+        metavar="TOK[:K]",
+        help="require the token at least K times (default 1); repeatable",
     )
-    p_bench.add_argument(
-        "--propagators",
-        default=",".join(sorted(PROPAGATORS)),
-        metavar="LIST",
-        help="comma-separated propagator names (default: all)",
+    p_mine.add_argument(
+        "--excludes",
+        action="append",
+        default=[],
+        metavar="TOK",
+        help="forbid the token; repeatable",
     )
-    _constraint_args(p_bench)
-    _run_args(p_bench)
+    p_mine.add_argument("--regex", metavar="EXPR", help="anchored pattern expression")
+    p_mine.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+    p_mine.add_argument("--stats", action="store_true", help="append run counters")
+    p_mine.add_argument(
+        "--timeout",
+        type=_timeout,
+        default=3600.0,
+        metavar="SECONDS",
+        help="abort the search after this long (default 3600)",
+    )
 
     p_gen = sub.add_parser("gen", help="write a random dataset")
     p_gen.add_argument("output", nargs="?", metavar="PATH")
@@ -99,57 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--mean-length", type=int, required=True)
     p_gen.add_argument("--sparsity", type=float, default=1.0)
     p_gen.add_argument("--seed", type=int, default=0)
-
-    # undocumented: the brute-force reference miner, for debugging
-    p_oracle = sub.add_parser("oracle")
-    _dataset_args(p_oracle)
-    p_oracle.add_argument("--minsup", required=True, metavar="N|FRAC")
-    p_oracle.add_argument("--max-len", type=int)
-    _constraint_args(p_oracle)
-    p_oracle.add_argument("--output", metavar="PATH")
     return parser
-
-
-def _dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("data", metavar="DATA", help="input dataset path")
-    p.add_argument(
-        "--format",
-        choices=["plain", "spmf"],
-        default="plain",
-        help="input format (default: plain)",
-    )
-
-
-def _constraint_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--min-size", type=int, metavar="N", help="minimum pattern length")
-    p.add_argument("--max-size", type=int, metavar="N", help="maximum pattern length")
-    p.add_argument(
-        "--contains",
-        action="append",
-        default=[],
-        metavar="TOK[:K]",
-        help="require the token at least K times (default 1); repeatable",
-    )
-    p.add_argument(
-        "--excludes",
-        action="append",
-        default=[],
-        metavar="TOK",
-        help="forbid the token; repeatable",
-    )
-    p.add_argument("--regex", metavar="EXPR", help="anchored pattern expression")
-
-
-def _run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-    p.add_argument("--stats", action="store_true", help="append run counters")
-    p.add_argument(
-        "--timeout",
-        type=_timeout,
-        default=3600.0,
-        metavar="SECONDS",
-        help="abort the search after this long (default 3600)",
-    )
 
 
 def _timeout(text: str) -> float:
@@ -161,6 +127,27 @@ def _timeout(text: str) -> float:
     if not value >= 0.0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
     return value
+
+
+def _positive(text: str) -> int:
+    """An integer of at least 1 (argparse ``type``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _required_token(text: str) -> tuple[str, int]:
+    """``TOK`` or ``TOK:K`` as (token, K), K at least 1 (argparse ``type``)."""
+    token, _, count = text.rpartition(":")
+    if not (token and count.isdecimal()):
+        return text, 1
+    if int(count) < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1: {text!r}")
+    return token, int(count)
 
 
 def _parse_minsup(text: str) -> int | float:
@@ -197,18 +184,22 @@ def _absolute_minsup(spec: int | float, input_count: int) -> int:
     return spec
 
 
-def _mining_config(
-    args, db: SequenceDatabase, theta: int, propagator: str
-) -> MiningConfig | None:
-    """Translate flags into a config; None means provably empty."""
+def _check_flags(args, raw: list[list[str]]) -> None:
+    """Reject flags that are bad on any threshold, before filtering the
+    input can make the result provably empty."""
     min_size = args.min_size
     max_size = args.max_size
-    if min_size is not None and min_size < 1:
-        raise _UsageError("--min-size must be at least 1")
-    if max_size is not None and max_size < 1:
-        raise _UsageError("--max-size must be at least 1")
     if min_size is not None and max_size is not None and min_size > max_size:
         raise _UsageError("--min-size exceeds --max-size")
+    if args.regex is not None:
+        # every input token is a literal, frequent or not (literal_ids)
+        parse_regex(args.regex, dict.fromkeys(chain.from_iterable(raw), 0))
+
+
+def _mining_config(args, db: SequenceDatabase, theta: int) -> MiningConfig | None:
+    """Translate checked flags into a config; None means provably empty."""
+    min_size = args.min_size
+    max_size = args.max_size
     length = None
     if min_size is not None or max_size is not None:
         lo = min_size or 1
@@ -217,14 +208,7 @@ def _mining_config(
             return None  # no pattern can be that long here
         length = LengthBounds(lo, hi)
     cards: list[SymbolCardinality] = []
-    for item in args.contains:
-        token, _, count = item.rpartition(":")
-        if token and count.isdigit():
-            at_least = int(count)
-        else:
-            token, at_least = item, 1
-        if at_least < 1:
-            raise _UsageError(f"--contains count must be at least 1: {item!r}")
+    for token, at_least in args.contains:
         symbol = db.id_of.get(token)
         if symbol is None:
             return None  # the required token is not frequent
@@ -235,7 +219,7 @@ def _mining_config(
             cards.append(SymbolCardinality(symbol, at_least=0, at_most=0))
     return MiningConfig(
         min_sup=theta,
-        propagator=propagator,
+        propagator=args.propagator,
         length=length,
         cardinalities=tuple(cards),
         regex=args.regex,
@@ -262,15 +246,14 @@ def _emit_stats(out: TextIO, stats: RunStats) -> None:
 def _run_mine(args) -> int:
     raw = _read_raw(args.data, args.format)
     theta = _absolute_minsup(_parse_minsup(args.minsup), len(raw))
+    _check_flags(args, raw)
     with ExitStack() as stack:
         out = _open_output(stack, args.output)
         try:
             db = build_database(raw, theta)
+            config = _mining_config(args, db, theta)
         except EmptyDatabaseError:
-            if args.stats:
-                _emit_stats(out, RunStats())
-            return EXIT_OK
-        config = _mining_config(args, db, theta, args.propagator)
+            config = None
         if config is None:
             if args.stats:
                 _emit_stats(out, RunStats())
@@ -295,63 +278,6 @@ def _run_mine(args) -> int:
     return EXIT_OK
 
 
-def _run_bench(args) -> int:
-    raw = _read_raw(args.data, args.format)
-    chosen = [name.strip() for name in args.propagators.split(",") if name.strip()]
-    for name in chosen:
-        if name not in PROPAGATORS:
-            raise _UsageError(f"unknown propagator {name!r}")
-    if not chosen:
-        raise _UsageError("no propagators selected")
-    specs = [_parse_minsup(text) for text in args.minsup]
-    with ExitStack() as stack:
-        out = _open_output(stack, args.output)
-        out.write(
-            "propagator,minsup,wall_time_ms,search_nodes,"
-            "positions_visited,solution_count\n"
-        )
-        consistent = True
-        timed_out = False
-        for spec in specs:
-            theta = _absolute_minsup(spec, len(raw))
-            try:
-                db = build_database(raw, theta)
-            except EmptyDatabaseError:
-                db = None
-            counts: set[int] = set()
-            for name in chosen:
-                config = None if db is None else _mining_config(args, db, theta, name)
-                if config is None:
-                    result = MiningResult()
-                else:
-                    deadline = time.monotonic() + args.timeout
-                    result = mine(
-                        db,
-                        config,
-                        node_hook=lambda: time.monotonic() <= deadline,
-                    )
-                stats = result.stats
-                timed_out = timed_out or result.timed_out
-                counts.add(stats.solution_count)
-                out.write(
-                    f"{name},{theta},{stats.wall_time_ms:.1f},"
-                    f"{stats.search_nodes},{stats.positions_visited},"
-                    f"{stats.solution_count}\n"
-                )
-            if len(counts) > 1:
-                consistent = False
-        if timed_out:
-            print("# TIMEOUT", file=sys.stderr)
-            return EXIT_TIMEOUT
-        if not consistent:
-            print(
-                "bench: propagators disagree on the solution count",
-                file=sys.stderr,
-            )
-            return EXIT_DISAGREE
-    return EXIT_OK
-
-
 def _run_gen(args) -> int:
     try:
         data = generate_dataset(
@@ -371,31 +297,6 @@ def _run_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_oracle(args) -> int:
-    raw = _read_raw(args.data, args.format)
-    theta = _absolute_minsup(_parse_minsup(args.minsup), len(raw))
-    with ExitStack() as stack:
-        out = _open_output(stack, args.output)
-        try:
-            db = build_database(raw, theta)
-        except EmptyDatabaseError:
-            return EXIT_OK
-        config = _mining_config(args, db, theta, "ppic")
-        if config is None:
-            return EXIT_OK
-        oracle_config = OracleConfig(
-            min_sup=theta,
-            max_len=args.max_len,
-            length=config.length,
-            cardinalities=config.cardinalities,
-            regex=config.regex,
-        )
-        for pattern, support in mine_brute_force(db, oracle_config):
-            out.write(" ".join(db.names[a] for a in pattern))
-            out.write(f" #SUP: {support}\n")
-    return EXIT_OK
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -405,12 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    runner = {
-        "mine": _run_mine,
-        "bench": _run_bench,
-        "gen": _run_gen,
-        "oracle": _run_oracle,
-    }[args.command]
+    runner = {"mine": _run_mine, "gen": _run_gen}[args.command]
     try:
         code = runner(args)
         sys.stdout.flush()

@@ -39,7 +39,7 @@ def generate_dataset(
     """
     if num_sequences < 1 or alphabet_size < 1 or mean_length < 1:
         raise GenerationError("sizes must be at least 1")
-    if sparsity < 1.0:
+    if not sparsity >= 1.0:  # also rejects nan
         raise GenerationError("sparsity must be at least 1.0")
     if sparsity > mean_length:
         raise GenerationError("sparsity cannot exceed the mean length")

@@ -1,4 +1,8 @@
-"""End-to-end command line behavior: output format, exit codes, bench, gen."""
+"""End-to-end command line behavior: output format, exit codes, gen.
+
+The CLI has two commands, ``mine`` and ``gen``, and exits 0 (success),
+2 (bad flags), 3 (dataset or output error) or 4 (timeout).
+"""
 
 from __future__ import annotations
 
@@ -217,7 +221,7 @@ def output_argv(command, data, output):
     return [command, data, "--minsup", "2", "--output", output]
 
 
-@pytest.mark.parametrize("command", ["mine", "bench", "oracle", "gen"])
+@pytest.mark.parametrize("command", ["mine", "gen"])
 def test_output_in_a_missing_directory_is_an_output_error(
     capsys, data, tmp_path, command
 ):
@@ -326,48 +330,43 @@ def test_unknown_propagator_is_a_usage_error(capsys, data):
     assert code == 2
 
 
-# ---------------------------------------------------------------------- bench
+@pytest.mark.parametrize("command", ["bench", "oracle"])
+def test_removed_commands_are_usage_errors(capsys, data, command):
+    code, out, err = run(capsys, command, data, "--minsup", "1")
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
 
 
-def test_bench_csv_shape(capsys, data):
-    code, out, err = run(
-        capsys, "bench", data, "--minsup", "2", "--minsup", "3"
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == (
-        "propagator,minsup,wall_time_ms,search_nodes,"
-        "positions_visited,solution_count"
-    )
-    rows = [l.split(",") for l in lines[1:]]
-    assert len(rows) == 8  # two thresholds x four propagators
-    assert {r[0] for r in rows} == {"baseline", "ppic", "ppdc", "ppmixed"}
-    theta2 = [r for r in rows if r[1] == "2"]
-    assert {r[5] for r in theta2} == {"9"}
-    for row in rows:
-        assert float(row[2]) >= 0.0
-        assert int(row[3]) >= 0
+@pytest.fixture
+def a_data(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text("A\n")
+    return str(path)
 
 
-def test_bench_propagator_subset_and_fractional_minsup(capsys, data):
-    code, out, _ = run(
-        capsys,
-        "bench",
-        data,
-        "--minsup",
-        "0.5",
-        "--propagators",
-        "ppic,baseline",
-    )
-    assert code == 0
-    rows = [l.split(",") for l in out.splitlines()[1:]]
-    assert [r[0] for r in rows] == ["ppic", "baseline"]
-    assert {r[1] for r in rows} == {"2"}
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # the length bound alone would make the result empty
+        "--minsup 1 --min-size 2 --regex A(",
+        # the threshold alone would empty the database
+        "--minsup 5 --min-size 0",
+        "--minsup 5 --min-size 3 --max-size 2",
+        "--minsup 5 --contains A:0",
+        # the infrequent --contains token alone would make the result empty
+        "--minsup 1 --contains Z --regex <nope>",
+    ],
+)
+def test_bad_flags_are_usage_errors_whatever_the_data(capsys, a_data, flags):
+    code, out, err = run(capsys, "mine", a_data, *flags.split())
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("seqmine")
 
 
-def test_bench_unknown_propagator_is_a_usage_error(capsys, data):
-    code, _, _ = run(capsys, "bench", data, "--minsup", "1", "--propagators", "zzz")
-    assert code == 2
+def test_contains_count_in_other_digits_names_a_token(capsys, a_data):
+    # "²" is a digit but no decimal: "A:²" is a token, not A at least ²
+    code, out, err = run(capsys, "mine", a_data, "--minsup", "1", "--contains", "A:²")
+    assert (code, out, err) == (0, "", "")
 
 
 # ------------------------------------------------------------------------ gen
@@ -477,15 +476,22 @@ def test_gen_infeasible_parameters_are_usage_errors(capsys, tmp_path):
     assert "alphabet" in err
 
 
-# --------------------------------------------------------------------- oracle
-
-
-def test_oracle_subcommand_agrees_with_mine(capsys, data):
-    code, mine_out, _ = run(capsys, "mine", data, "--minsup", "2")
-    assert code == 0
-    code, oracle_out, _ = run(capsys, "oracle", data, "--minsup", "2")
-    assert code == 0
-    assert sorted(mine_out.splitlines()) == sorted(oracle_out.splitlines())
+@pytest.mark.parametrize("sparsity", ["nan", "-0", "inf"])
+def test_gen_bad_sparsity_is_a_usage_error(capsys, sparsity):
+    code, out, err = run(
+        capsys,
+        "gen",
+        "--sequences",
+        "3",
+        "--alphabet",
+        "5",
+        "--mean-length",
+        "4",
+        "--sparsity",
+        sparsity,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("seqmine: sparsity ")
 
 
 # ----------------------------------------------------------------- subprocess
